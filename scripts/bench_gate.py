@@ -13,10 +13,9 @@ still generous (CI machines differ), but tight enough that a hot-loop
 regression of 2x cannot hide behind machine drift.  Rows present on
 only one side are reported but never fail the gate, so the matrix is
 allowed to grow; rows whose packet budgets differ are reported but not
-gated either (throughput is only comparable at equal budgets — the
-vectorized engine in particular gets faster per packet as the trace
-grows, so a reduced-budget CI run must not be held to the committed
-full-budget rate).
+gated either (throughput is only comparable at equal budgets, so a
+reduced-budget CI run must not be held to the committed full-budget
+rate).
 
 Exit status: 0 when every common row passes, 1 on any violation, 2 on
 unreadable input.

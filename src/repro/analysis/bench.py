@@ -9,15 +9,13 @@ loopback replay (plus a chaos twin of that row riding a seeded
 reconnect storm through a :class:`~repro.faults.netchaos.ChaosProxy`,
 whose delta prices the connection-supervision machinery under churn),
 the runner's job throughput, the checkpointing
-overhead of a supervised run, the distributed queue's coordination cost
-(raw ``claims_per_s`` plus a 2-worker end-to-end drain through one
-shared queue and result store), and a vectorized-vs-analytic pair on a
-paper-scale 1024-tenant trace whose vectorized row carries
-``speedup_vs_analytic`` and a ``parity`` flag (byte-identical results).
+overhead of a supervised run, and the distributed queue's coordination
+cost (raw ``claims_per_s`` plus a 2-worker end-to-end drain through one
+shared queue and result store).
 
 The ``--analytic-packets`` budget applies uniformly to every
 analytic-engine row (config comparison, profiled, runner, and
-checkpointed); the service and vectorized rows have their own budgets.
+checkpointed); the service rows have their own budget.
 Each row records the exact packet count it ran, and the ``matrix``
 block documents every per-row budget, so two bench files are comparable
 at a glance.
@@ -47,7 +45,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.config import ArchConfig, TlbConfig, base_config, hypertrio_config
+from repro.core.config import ArchConfig, base_config, hypertrio_config
 from repro.sim.simulator import HyperSimulator
 from repro.trace.constructor import HyperTrace, construct_trace
 from repro.trace.tenant import profile_by_name
@@ -70,12 +68,6 @@ CHAOS_STORM_CONNECTIONS = 3
 #: the worker threads draining the queue row's end-to-end sweep.
 QUEUE_CLAIM_JOBS = 512
 QUEUE_WORKERS = 2
-#: The vectorized-vs-analytic pair runs at paper scale — 1024 tenants of
-#: the regular iperf3 stream under a Base-geometry config with LRU TLBs
-#: — where the vectorized engine's block-cycle leap dominates.
-VECTOR_BENCHMARK = "iperf3"
-VECTOR_TENANTS = 1024
-VECTOR_PACKETS = 102_400
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
@@ -106,39 +98,16 @@ def _pinned_trace(packets: int) -> HyperTrace:
     )
 
 
-def _simulator_for(engine: str, config: ArchConfig, trace: HyperTrace):
-    """Instantiate the requested engine's simulator (shared constructor)."""
-    if engine == "evented":
-        from repro.sim.des import EventDrivenSimulator
-
-        return EventDrivenSimulator(config, trace)
-    if engine == "vectorized":
-        from repro.sim.vectorized import VectorizedSimulator
-
-        return VectorizedSimulator(config, trace)
-    if engine == "analytic":
-        return HyperSimulator(config, trace)
-    raise ValueError(f"unknown bench engine {engine!r}")
-
-
-def _bench_analytic(
-    config: ArchConfig, packets: int, engine: str = "analytic"
-) -> Dict[str, Any]:
-    """Time one offline simulation; traces are never reused across runs.
-
-    ``engine`` re-times the config-comparison rows under a different
-    simulator implementation (results are byte-identical, so only the
-    wall clock moves); the row's ``engine`` field records the choice so
-    ``scripts/bench_gate.py`` never compares across engines.
-    """
+def _bench_analytic(config: ArchConfig, packets: int) -> Dict[str, Any]:
+    """Time one offline simulation; traces are never reused across runs."""
     trace = _pinned_trace(packets)
-    simulator = _simulator_for(engine, config, trace)
+    simulator = HyperSimulator(config, trace)
     started = time.perf_counter()
     result = simulator.run(warmup_packets=0)
     wall = time.perf_counter() - started
     n = len(trace.packets)
     return {
-        "engine": engine,
+        "engine": "analytic",
         "config": config.name,
         "packets": n,
         "wall_s": wall,
@@ -494,100 +463,6 @@ def _bench_queue(jobs: int, packets: int) -> Dict[str, Any]:
     }
 
 
-def _vector_config() -> ArchConfig:
-    """Base geometry with LRU policies in every TLB level.
-
-    LRU (rather than Base's LFU) keeps the pinned pair representative of
-    the simplest eligible config while still exercising the vectorized
-    engine's block-cycle leap; the label carries the variant.
-    """
-
-    def lru(tlb: TlbConfig) -> TlbConfig:
-        return TlbConfig(
-            num_entries=tlb.num_entries,
-            ways=tlb.ways,
-            num_partitions=tlb.num_partitions,
-            policy="lru",
-        )
-
-    config = base_config()
-    return config.with_overrides(
-        name="Base-LRU",
-        devtlb=lru(config.devtlb),
-        l2_tlb=lru(config.l2_tlb),
-        l3_tlb=lru(config.l3_tlb),
-    )
-
-
-def _vector_trace(packets: int) -> HyperTrace:
-    return construct_trace(
-        profile_by_name(VECTOR_BENCHMARK),
-        num_tenants=VECTOR_TENANTS,
-        packets_per_tenant=200_000,
-        interleaving="RR1",
-        seed=PINNED_SEED,
-        max_packets=packets,
-    )
-
-
-def _bench_vectorized(packets: int) -> List[Dict[str, Any]]:
-    """The vectorized engine vs its analytic twin on one paper-scale trace.
-
-    Returns two rows sharing a config label: the analytic baseline and
-    the vectorized run, the latter carrying ``speedup_vs_analytic`` and a
-    ``parity`` flag asserting the two produced byte-identical serialized
-    results (a live guard on the engine's core contract, not just a test
-    fixture).
-    """
-    from repro.runner.serialize import result_to_dict
-    from repro.sim.vectorized import VectorizedSimulator
-
-    config = _vector_config()
-    label = f"{config.name}/{VECTOR_TENANTS}t"
-
-    trace = _vector_trace(packets)
-    simulator = HyperSimulator(config, trace)
-    started = time.perf_counter()
-    analytic_result = simulator.run(warmup_packets=0)
-    analytic_wall = time.perf_counter() - started
-    n = len(trace.packets)
-
-    trace = _vector_trace(packets)
-    vector_sim = VectorizedSimulator(config, trace)
-    started = time.perf_counter()
-    vector_result = vector_sim.run(warmup_packets=0)
-    vector_wall = time.perf_counter() - started
-
-    parity = result_to_dict(analytic_result) == result_to_dict(vector_result)
-    analytic_rate = n / analytic_wall if analytic_wall > 0 else 0.0
-    vector_rate = n / vector_wall if vector_wall > 0 else 0.0
-    return [
-        {
-            "engine": "analytic",
-            "config": label,
-            "packets": n,
-            "wall_s": analytic_wall,
-            "packets_per_s": analytic_rate,
-            "link_utilization": analytic_result.link_utilization,
-            "packets_dropped": analytic_result.packets.dropped,
-        },
-        {
-            "engine": "vectorized",
-            "config": label,
-            "packets": n,
-            "wall_s": vector_wall,
-            "packets_per_s": vector_rate,
-            "link_utilization": vector_result.link_utilization,
-            "packets_dropped": vector_result.packets.dropped,
-            "speedup_vs_analytic": (
-                vector_rate / analytic_rate if analytic_rate > 0 else 0.0
-            ),
-            "parity": parity,
-            "batch": dict(vector_sim.batch_stats),
-        },
-    ]
-
-
 def existing_bench_paths(root: Path) -> List[Path]:
     """All ``BENCH_<n>.json`` files under ``root``, ordered by ``n``."""
     found = []
@@ -611,28 +486,23 @@ def run_bench(
     root: Path,
     analytic_packets: int = ANALYTIC_PACKETS,
     service_packets: int = SERVICE_PACKETS,
-    vector_packets: int = VECTOR_PACKETS,
     output: Optional[Path] = None,
-    engine: str = "analytic",
 ) -> Tuple[Path, Dict[str, Any], List[str]]:
     """Run the pinned matrix; returns (path, document, report lines).
 
     ``analytic_packets`` applies uniformly to every analytic-engine row
-    (config comparison, profiled, runner, checkpointed); the service and
-    vectorized rows run their own pinned budgets.  ``engine`` re-times
-    the two config-comparison rows under a different simulator
-    implementation (see :func:`_bench_analytic`).
+    (config comparison, profiled, runner, checkpointed); the service
+    rows run their own pinned budget.
     """
     rows = [
-        _bench_analytic(base_config(), analytic_packets, engine),
-        _bench_analytic(hypertrio_config(), analytic_packets, engine),
+        _bench_analytic(base_config(), analytic_packets),
+        _bench_analytic(hypertrio_config(), analytic_packets),
         _bench_profiled(analytic_packets),
         _bench_service(service_packets),
         _bench_chaos_replay(service_packets),
         _bench_runner(RUNNER_JOBS, analytic_packets),
         _bench_checkpoint(analytic_packets),
         _bench_queue(RUNNER_JOBS, analytic_packets),
-        *_bench_vectorized(vector_packets),
     ]
     document: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
@@ -640,7 +510,6 @@ def run_bench(
             "benchmark": PINNED_BENCHMARK,
             "tenants": PINNED_TENANTS,
             "seed": PINNED_SEED,
-            "engine": engine,
             "analytic_packets": analytic_packets,
             "service_packets": service_packets,
             "chaos_packets": service_packets,
@@ -652,9 +521,6 @@ def run_bench(
             "queue_jobs": RUNNER_JOBS,
             "queue_workers": QUEUE_WORKERS,
             "queue_claim_jobs": QUEUE_CLAIM_JOBS,
-            "vector_benchmark": VECTOR_BENCHMARK,
-            "vector_tenants": VECTOR_TENANTS,
-            "vector_packets": vector_packets,
         },
         "environment": {
             "python": platform.python_version(),
@@ -700,11 +566,6 @@ def run_bench(
             lines.append(
                 f"           checkpoint every {row['checkpoint_every']} pkts: "
                 f"{row['checkpoint_overhead_pct']:+.1f}% wall"
-            )
-        if "speedup_vs_analytic" in row:
-            lines.append(
-                f"           {row['speedup_vs_analytic']:.1f}x vs analytic, "
-                f"parity={'ok' if row['parity'] else 'FAILED'}"
             )
     if previous and previous[-1] != path:
         lines.extend(_delta_lines(previous[-1], rows))

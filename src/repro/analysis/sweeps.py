@@ -209,7 +209,6 @@ def run_point(
     checkpoint_path=None,
     checkpoint_hook=None,
     resume_from=None,
-    engine: str = "analytic",
 ) -> SweepPoint:
     """Simulate one sweep point at the given scale.
 
@@ -218,12 +217,6 @@ def run_point(
     ignore them).  ``fault_plan`` runs the point under fault injection
     (see :mod:`repro.faults`); it is part of the point's identity for
     orchestration hooks.
-
-    ``engine`` selects the simulator implementation (``analytic`` /
-    ``evented`` / ``vectorized``); all engines produce byte-identical
-    results where supported, so the choice only affects wall clock —
-    but it is still part of the point's identity for orchestration
-    hooks and job specs, keeping provenance exact.
 
     ``trace`` substitutes an externally supplied
     :class:`~repro.trace.constructor.HyperTrace` for the synthesized one
@@ -243,7 +236,6 @@ def run_point(
             native=native,
             seed=seed,
             fault_plan=fault_plan,
-            engine=engine,
         )
         if result is not None:
             return SweepPoint(
@@ -263,7 +255,6 @@ def run_point(
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
             checkpoint_hook=checkpoint_hook,
-            engine=engine,
         )
         return SweepPoint(
             config_name=config.name,
@@ -286,7 +277,6 @@ def run_point(
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
         checkpoint_hook=checkpoint_hook,
-        engine=engine,
     )
     return SweepPoint(
         config_name=config.name,

@@ -43,7 +43,7 @@ from repro.core.config import (
     base_config,
     hypertrio_config,
 )
-from repro.sim.simulator import SIMULATE_ENGINES, HyperSimulator
+from repro.sim.simulator import HyperSimulator
 from repro.trace.characterize import characterize_single_tenant
 from repro.trace.collector import collect_single_tenant
 from repro.trace.constructor import construct_trace
@@ -112,40 +112,6 @@ def _add_common_workload_args(
         "--packets", type=int, default=packets_default, help=packets_help,
     )
     parser.add_argument("--seed", type=int, default=0)
-
-
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", default="analytic", choices=SIMULATE_ENGINES,
-        help="simulator implementation (default: analytic); all engines "
-             "produce byte-identical results where supported — "
-             "'vectorized' batches the hot path through numpy and "
-             "refuses fault injection and checkpointing",
-    )
-
-
-def _engine_unsupported(engine: str, feature: str) -> int:
-    """Print the actionable refusal for an engine/feature combo (exit 2)."""
-    print(
-        f"--engine {engine} does not support {feature}; "
-        f"use --engine analytic for that run",
-        file=sys.stderr,
-    )
-    return 2
-
-
-def _simulator_class(engine: str):
-    """Resolve ``--engine`` to the simulator class sharing
-    :class:`HyperSimulator`'s constructor."""
-    if engine == "evented":
-        from repro.sim.des import EventDrivenSimulator
-
-        return EventDrivenSimulator
-    if engine == "vectorized":
-        from repro.sim.vectorized import VectorizedSimulator
-
-        return VectorizedSimulator
-    return HyperSimulator
 
 
 def _add_trace_file_args(parser: argparse.ArgumentParser) -> None:
@@ -277,19 +243,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"bad --sid-map: {error}", file=sys.stderr)
             return 2
     checkpoint_every, checkpoint_path = _simulate_checkpoint_plan(args)
-    if args.engine == "vectorized":
-        # The vectorized engine trades these features for throughput;
-        # refuse up front with an actionable message instead of letting
-        # VectorizedUnsupportedError surface as a traceback.
-        for flag, name in (
-            (args.fault_plan, "--fault-plan"),
-            (args.checkpoint_dir, "--checkpoint-dir"),
-            (args.checkpoint_every, "--checkpoint-every"),
-            (args.resume_from, "--resume-from"),
-        ):
-            if flag:
-                return _engine_unsupported("vectorized", name)
-
     if args.resume_from:
         # The checkpoint carries the full engine state — trace, faults,
         # and observability included — so flags that would rebuild any of
@@ -322,7 +275,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 resume_from=args.resume_from,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path,
-                engine=args.engine,
             )
         except CheckpointError as error:
             print(
@@ -374,19 +326,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         else:
             observability = Observability.metrics_only()
-    try:
-        simulator = _simulator_class(args.engine)(
-            config, trace, observability=observability, fault_plan=fault_plan
-        )
-    except Exception as error:
-        from repro.sim.vectorized import VectorizedUnsupportedError
-
-        if isinstance(error, VectorizedUnsupportedError):
-            # Backstop for combinations the flag checks above cannot see
-            # (e.g. a fault plan injected programmatically).
-            print(f"--engine vectorized: {error}", file=sys.stderr)
-            return 2
-        raise
+    simulator = HyperSimulator(
+        config, trace, observability=observability, fault_plan=fault_plan
+    )
     if checkpoint_path is not None:
         from repro.sim.checkpoint import (
             SimulationInterrupted,
@@ -443,8 +385,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scale = current_scale()
-    if args.engine == "vectorized" and args.fault_axis:
-        return _engine_unsupported("vectorized", "--fault-axis")
     if args.packets is not None:
         scale = dataclasses.replace(scale, max_packets=args.packets)
     counts = [int(c) for c in args.tenants.split(",")]
@@ -502,24 +442,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                         if trace_override is not None
                         else {}
                     )
-                    try:
-                        point = run_point(
-                            config, args.benchmark, count, args.interleaving,
-                            scale, seed=args.seed, fault_plan=fault_plan,
-                            engine=args.engine, **trace_kwargs,
-                        )
-                    except Exception as error:
-                        from repro.sim.vectorized import (
-                            VectorizedUnsupportedError,
-                        )
-
-                        if isinstance(error, VectorizedUnsupportedError):
-                            print(
-                                f"--engine vectorized: {error}",
-                                file=sys.stderr,
-                            )
-                            return 2
-                        raise
+                    point = run_point(
+                        config, args.benchmark, count, args.interleaving,
+                        scale, seed=args.seed, fault_plan=fault_plan,
+                        **trace_kwargs,
+                    )
                     columns.setdefault(label, []).append(point.utilization_percent)
                     print(
                         f"{label:16s} {count:5d} tenants: "
@@ -1053,16 +980,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not root.is_dir():
         print(f"no such directory: {root}", file=sys.stderr)
         return 2
-    kwargs = {}
-    if args.vector_packets is not None:
-        kwargs["vector_packets"] = args.vector_packets
     _, _, lines = run_bench(
         root,
         analytic_packets=args.analytic_packets,
         service_packets=args.service_packets,
         output=Path(args.output) if args.output else None,
-        engine=args.engine,
-        **kwargs,
     )
     print("\n".join(lines))
     return 0
@@ -1413,7 +1335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = subparsers.add_parser("simulate", help="run one configuration")
     _add_common_workload_args(simulate)
-    _add_engine_arg(simulate)
     simulate.add_argument("--tenants", type=int, default=64)
     simulate.add_argument("--config", default="hypertrio", choices=sorted(_CONFIGS))
     simulate.add_argument(
@@ -1475,7 +1396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser("sweep", help="Base vs HyperTRIO tenant sweep")
     _add_common_workload_args(sweep, packets_default=None)
-    _add_engine_arg(sweep)
     sweep.add_argument(
         "--tenants", default="4,16,64,256",
         help="comma-separated tenant counts (default: 4,16,64,256)",
@@ -1683,7 +1603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, metavar="PATH",
         help="explicit output path (default: next BENCH_<n>.json in --root)",
     )
-    _add_engine_arg(bench)
     bench.add_argument(
         "--analytic-packets", type=int, default=6000,
         help="packet budget applied uniformly to every analytic-engine "
@@ -1693,11 +1612,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--service-packets", type=int, default=2500,
         help="packet budget for the service replay row (default: 2500)",
-    )
-    bench.add_argument(
-        "--vector-packets", type=int, default=None, metavar="N",
-        help="packet budget for the vectorized-vs-analytic pair "
-             "(default: the pinned 102400-packet, 1024-tenant trace)",
     )
     bench.set_defaults(func=_cmd_bench)
 

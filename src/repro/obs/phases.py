@@ -1,10 +1,10 @@
 """Hot-path phase profiling: host-time cost attribution per pipeline stage.
 
-The analytic and event-driven engines share one hot path
-(:meth:`repro.sim.engine.DeviceEngine.process_request`); before that path
-is rewritten (ROADMAP item 1, the vectorized engine), every speed claim
-needs to know *where* the host cycles go.  :class:`PhaseProfiler` splits
-the per-request work into three measured segments:
+The analytic engine and its event-driven test oracle share one hot path
+(:meth:`repro.sim.engine.DeviceEngine.process_request`); every speed
+claim about that path needs to know *where* the host cycles go.
+:class:`PhaseProfiler` splits the per-request work into three measured
+segments:
 
 * ``lookup`` — DevTLB lookup plus the prefetch-buffer probe (the
   device-local fast path);

@@ -92,11 +92,10 @@ def plan_driver(
         native: bool,
         seed: int,
         fault_plan=None,
-        engine: str = "analytic",
     ) -> SimulationResult:
         spec = JobSpec.from_point(
             config, benchmark, num_tenants, interleaving, scale,
-            seed=seed, native=native, fault_plan=fault_plan, engine=engine,
+            seed=seed, native=native, fault_plan=fault_plan,
         )
         if spec.spec_hash not in seen:
             seen.add(spec.spec_hash)
@@ -137,11 +136,10 @@ def run_experiment(
         native: bool,
         seed: int,
         fault_plan=None,
-        engine: str = "analytic",
     ) -> Optional[SimulationResult]:
         spec = JobSpec.from_point(
             config, benchmark, num_tenants, interleaving, scale,
-            seed=seed, native=native, fault_plan=fault_plan, engine=engine,
+            seed=seed, native=native, fault_plan=fault_plan,
         )
         # A miss (nondeterministic driver) falls back to in-process
         # simulation inside run_point — correct, just not parallel.
@@ -210,11 +208,10 @@ def run_experiment_queue(
         native: bool,
         seed: int,
         fault_plan=None,
-        engine: str = "analytic",
     ) -> Optional[SimulationResult]:
         spec = JobSpec.from_point(
             config, benchmark, num_tenants, interleaving, scale,
-            seed=seed, native=native, fault_plan=fault_plan, engine=engine,
+            seed=seed, native=native, fault_plan=fault_plan,
         )
         return memo.get(spec.spec_hash)
 

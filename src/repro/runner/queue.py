@@ -339,7 +339,10 @@ class ExperimentQueue:
         over the longest-expired ``claimed`` row (lease reclamation).  A
         job whose claim count would exceed ``max_claims`` is moved to
         ``quarantined`` instead of being claimed again, and the next
-        candidate is considered.
+        candidate is considered.  A row whose spec this version cannot
+        parse (e.g. a point written for a since-retired engine) is marked
+        ``failed`` with the parse error, and the next candidate is
+        considered.
         """
         with self._lock:
             try:
@@ -372,6 +375,12 @@ class ExperimentQueue:
                     conn.execute("COMMIT")
                     return None
                 spec_hash, spec_json, attempts, takeovers, previous = row
+                try:
+                    spec = JobSpec.from_dict(json.loads(spec_json))
+                except ValueError as error:
+                    self._fail_row(spec_hash, now, str(error))
+                    conn.execute("COMMIT")
+                    continue  # look at the next candidate
                 attempts += 1
                 if attempts > self.max_claims:
                     conn.execute(
@@ -421,7 +430,6 @@ class ExperimentQueue:
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise
-            spec = JobSpec.from_dict(json.loads(spec_json))
             return ClaimedJob(
                 spec=spec,
                 spec_hash=spec_hash,
@@ -484,24 +492,28 @@ class ExperimentQueue:
 
     def mark_failed(self, spec_hash: str, error: str) -> bool:
         """Terminal failure (the runner's retry budget is already spent)."""
-        now = time.time()
         with self._lock:
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
-                cursor = self._conn.execute(
-                    "UPDATE jobs SET status='failed', claimed_by=?,"
-                    " lease_expires_at=NULL, updated_at=?, error=?"
-                    " WHERE spec_hash=? AND status IN ('pending','claimed')",
-                    (self.worker_id, now, error[:500], spec_hash),
-                )
-                failed = cursor.rowcount == 1
-                if failed:
-                    self._audit(spec_hash, "failed", error[:500])
-                    self._bump_worker(failed=1)
+                failed = self._fail_row(spec_hash, time.time(), error)
                 self._conn.execute("COMMIT")
             except sqlite3.Error as sql_error:
                 self._conn.execute("ROLLBACK")
                 raise self._translate(sql_error)
+        return failed
+
+    def _fail_row(self, spec_hash: str, now: float, error: str) -> bool:
+        """Mark a live row ``failed`` (caller holds a transaction)."""
+        cursor = self._conn.execute(
+            "UPDATE jobs SET status='failed', claimed_by=?,"
+            " lease_expires_at=NULL, updated_at=?, error=?"
+            " WHERE spec_hash=? AND status IN ('pending','claimed')",
+            (self.worker_id, now, error[:500], spec_hash),
+        )
+        failed = cursor.rowcount == 1
+        if failed:
+            self._audit(spec_hash, "failed", error[:500])
+            self._bump_worker(failed=1)
         return failed
 
     def release(self, spec_hash: str) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.analysis.scale import RunScale
@@ -53,12 +53,6 @@ class JobSpec:
     #: twin; omitted from serialisation when ``None`` so every pre-fault
     #: hash is unchanged.
     fault_plan: Optional[Dict[str, Any]] = None
-    #: Simulator implementation (``analytic`` / ``evented`` /
-    #: ``vectorized``).  Part of the content hash when not the default,
-    #: so a point's provenance records how it was produced; omitted from
-    #: serialisation at the ``analytic`` default so every pre-engine
-    #: hash is unchanged.
-    engine: str = "analytic"
 
     @classmethod
     def from_point(
@@ -72,7 +66,6 @@ class JobSpec:
         seed: int = 0,
         native: bool = False,
         fault_plan=None,
-        engine: str = "analytic",
     ) -> "JobSpec":
         """Build the spec for ``run_point(config, benchmark, ...)``.
 
@@ -94,7 +87,6 @@ class JobSpec:
             seed=seed,
             native=native,
             fault_plan=fault_plan,
-            engine=engine,
         )
 
     # ------------------------------------------------------------------
@@ -112,12 +104,22 @@ class JobSpec:
         }
         if self.fault_plan is not None:
             document["fault_plan"] = dict(self.fault_plan)
-        if self.engine != "analytic":
-            document["engine"] = self.engine
         return document
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "JobSpec":
+        """Inverse of :meth:`to_dict`.
+
+        Raises :class:`ValueError` naming any key this version does not
+        know, e.g. the ``engine`` key older versions wrote for points run
+        on a since-retired simulator engine.
+        """
+        unknown = sorted(set(raw) - {known.name for known in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"job spec has unknown keys {', '.join(unknown)}; it was "
+                f"written by a version this one cannot run"
+            )
         return cls(**raw)
 
     def canonical_json(self) -> str:
@@ -151,10 +153,9 @@ class JobSpec:
     def label(self) -> str:
         """Short human-readable identity for progress lines."""
         name = self.config.get("name", "?") if isinstance(self.config, dict) else "?"
-        suffix = "" if self.engine == "analytic" else f"/{self.engine}"
         return (
             f"{name}/{self.benchmark}/{self.num_tenants}t/"
-            f"{self.interleaving}/s{self.seed}{suffix}"
+            f"{self.interleaving}/s{self.seed}"
         )
 
 

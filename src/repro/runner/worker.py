@@ -79,7 +79,6 @@ def execute_job(spec: JobSpec) -> Dict[str, Any]:
         native=spec.native,
         seed=spec.seed,
         fault_plan=fault_plan,
-        engine=spec.engine,
     )
     return {
         "result": result_to_dict(point.result),
@@ -146,7 +145,6 @@ def execute_job_supervised(
                 native=spec.native,
                 seed=spec.seed,
                 fault_plan=fault_plan,
-                engine=spec.engine,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=ckpt_path,
                 checkpoint_hook=heartbeat.note_checkpoint,
@@ -171,7 +169,6 @@ def execute_job_supervised(
                 native=spec.native,
                 seed=spec.seed,
                 fault_plan=fault_plan,
-                engine=spec.engine,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=ckpt_path,
                 checkpoint_hook=heartbeat.note_checkpoint,

@@ -15,10 +15,11 @@ devices dispatch in device-id order — exactly the ``(next_time,
 device_id)`` merge the analytic engine performs — so given identical
 inputs the two engines must produce *identical* results for any number of
 devices; ``tests/test_des.py`` asserts exactly that, which validates the
-analytic shortcut.  The event engine is also the natural extension point
-for behaviours a closed-form replay cannot express (e.g. time-varying
-link rates), so it is a public part of the library, not just a test
-fixture.
+analytic shortcut.  That is this module's role: it is the reference
+oracle the test suite checks the analytic engine against (parity,
+fault injection, checkpoint/resume), not a second engine to run
+experiments on.  The CLI, the runner and the service all run the
+analytic engine; tests import this module directly.
 
 Both engines drive the same :class:`~repro.sim.engine.DeviceEngine`
 components, so "same semantics" is structural, not coincidental: only the

@@ -519,10 +519,6 @@ def _merged_ptb_stats(stats_iter) -> PtbStats:
     return merged
 
 
-#: Engine names accepted by :func:`simulate`'s ``engine`` argument.
-SIMULATE_ENGINES = ("analytic", "evented", "vectorized")
-
-
 def simulate(
     config: ArchConfig,
     trace: HyperTrace,
@@ -536,17 +532,8 @@ def simulate(
     checkpoint_path=None,
     checkpoint_hook=None,
     resume_from=None,
-    engine: str = "analytic",
 ) -> SimulationResult:
     """One-call convenience: build a simulator and run it.
-
-    ``engine`` selects the implementation: ``"analytic"`` (this
-    module's merge loop), ``"evented"`` (the event-driven twin), or
-    ``"vectorized"`` (the struct-of-arrays batch engine).  All three
-    return byte-identical results for supported configurations; the
-    vectorized engine raises
-    :class:`~repro.sim.vectorized.VectorizedUnsupportedError` for fault
-    plans and checkpoint/resume.
 
     ``resume_from`` restores a run from a checkpoint file written by an
     earlier ``checkpoint_every``/``checkpoint_path`` run and continues it
@@ -555,30 +542,6 @@ def simulate(
     state, so ``config``/``trace`` are only cross-checked (a mismatching
     config raises :class:`~repro.sim.checkpoint.CheckpointError`).
     """
-    if engine != "analytic":
-        if engine == "evented":
-            from repro.sim.des import simulate_evented as delegate
-        elif engine == "vectorized":
-            from repro.sim.vectorized import simulate_vectorized as delegate
-        else:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose one of "
-                f"{', '.join(SIMULATE_ENGINES)}"
-            )
-        return delegate(
-            config,
-            trace,
-            native=native,
-            max_packets=max_packets,
-            warmup_packets=warmup_packets,
-            telemetry=telemetry,
-            observability=observability,
-            fault_plan=fault_plan,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            checkpoint_hook=checkpoint_hook,
-            resume_from=resume_from,
-        )
     if resume_from is not None:
         from repro.sim.checkpoint import resume_simulation
 

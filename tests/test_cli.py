@@ -1,8 +1,15 @@
 """Tests for the repro-sim command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -56,6 +63,27 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Base" in output
         assert "Gb/s" in output
+
+    def test_simulate_runs_without_numpy(self):
+        # The package has no runtime dependencies: with numpy made
+        # unimportable, the CLI and the service still load and simulate.
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import repro.cli, repro.service.server\n"
+            "sys.exit(repro.cli.main(['simulate', '--benchmark', 'iperf3',"
+            " '--tenants', '2', '--config', 'base', '--packets', '400']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "Gb/s" in completed.stdout
 
     def test_simulate_malformed_sid_map_reports_entry(self, capsys):
         """A bad explicit --sid-map entry must not traceback: it names
@@ -154,10 +182,8 @@ class TestCommands:
         calls = []
 
         def fake_run_point(config, benchmark, count, interleaving, scale,
-                           native=False, seed=0, fault_plan=None,
-                           engine="analytic"):
-            calls.append({"seed": seed, "max_packets": scale.max_packets,
-                          "engine": engine})
+                           native=False, seed=0, fault_plan=None):
+            calls.append({"seed": seed, "max_packets": scale.max_packets})
             return types.SimpleNamespace(utilization_percent=50.0)
 
         monkeypatch.setattr("repro.cli.run_point", fake_run_point)
@@ -175,8 +201,7 @@ class TestCommands:
         calls = []
 
         def fake_run_point(config, benchmark, count, interleaving, scale,
-                           native=False, seed=0, fault_plan=None,
-                           engine="analytic"):
+                           native=False, seed=0, fault_plan=None):
             calls.append(scale.max_packets)
             return types.SimpleNamespace(utilization_percent=50.0)
 

@@ -106,6 +106,28 @@ class TestQueueBasics:
         events = [a["event"] for a in queue.attempt_rows(job.spec_hash)]
         assert events == ["claimed", "failed"]
 
+    def test_spec_with_retired_engine_key_is_failed_at_claim(self, tmp_path):
+        path = tmp_path / "q.db"
+        queue = ExperimentQueue(path, worker_id="w1")
+        old = dict(make_spec(seed=1).to_dict(), engine="evented")
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "INSERT INTO jobs (spec_hash, spec, status, created_at,"
+                " updated_at) VALUES('0123456789abcdef', ?, 'pending', 0, 0)",
+                (json.dumps(old),),
+            )
+        conn.close()
+        good = make_spec(seed=2)
+        queue.enqueue(good)
+        job = queue.claim()
+        assert job.spec_hash == good.spec_hash
+        row = queue.jobs(status="failed")[0]
+        assert row["spec_hash"] == "0123456789abcdef"
+        assert "unknown keys engine" in row["error"]
+        events = [a["event"] for a in queue.attempt_rows("0123456789abcdef")]
+        assert events == ["failed"]
+        assert queue.counts() == {"claimed": 1, "failed": 1}
+
     def test_release_returns_job_to_pending(self, tmp_path):
         queue = ExperimentQueue(tmp_path / "q.db", worker_id="w1")
         queue.enqueue(make_spec(seed=1))

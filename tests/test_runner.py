@@ -113,6 +113,9 @@ class TestSpecHash:
             cwd=REPO_ROOT, timeout=120,
         ).stdout.strip()
         assert output == spec.spec_hash
+        # Pinned: existing result stores and queue databases are keyed by
+        # this hash, so a JobSpec field change must not move it.
+        assert spec.spec_hash == "b05cb686ee32a311"
 
 
 # ----------------------------------------------------------------------

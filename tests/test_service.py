@@ -165,6 +165,56 @@ class TestServiceEngineParity:
             load_service_checkpoint(path)
 
 
+class TestServiceBatch:
+    @staticmethod
+    def _trace(tenants, packets):
+        return construct_trace(
+            profile_by_name("mediastream"),
+            num_tenants=tenants,
+            packets_per_tenant=100_000,
+            max_packets=packets,
+        )
+
+    def test_submit_batch_matches_sequential_submit(self):
+        config = base_config()
+        trace = self._trace(tenants=8, packets=1200)
+        packets = list(trace.packets)
+
+        sequential = ServiceEngine(config, trace)
+        outcomes_seq = [sequential.submit(p) for p in packets]
+        result_seq = sequential.flush()
+
+        batched = ServiceEngine(config, trace)
+        outcomes_bat = []
+        step = 37  # deliberately not a divisor: exercises a ragged tail
+        for start in range(0, len(packets), step):
+            outcomes_bat.extend(
+                batched.submit_batch(packets[start:start + step])
+            )
+        result_bat = batched.flush()
+
+        assert [o.__dict__ for o in outcomes_seq] == [
+            o.__dict__ for o in outcomes_bat
+        ]
+        assert json.dumps(result_to_dict(result_seq), sort_keys=True) == (
+            json.dumps(result_to_dict(result_bat), sort_keys=True)
+        )
+
+    def test_submit_batch_rejects_unknown_sid_before_any_state_change(self):
+        trace = self._trace(tenants=4, packets=400)
+        packets = list(trace.packets)
+        bad = PacketRecord(
+            sid=9999, giovas=packets[0].giovas,
+            size_bytes=packets[0].size_bytes,
+        )
+        engine = ServiceEngine(base_config(), trace)
+        with pytest.raises(UnknownTenantError):
+            engine.submit_batch([packets[0], bad, packets[1]])
+        # Total prevalidation: the good packets before the bad one must
+        # not have been translated either.
+        assert engine.processed == 0
+
+
 class TestServerEndToEnd:
     def test_replay_and_flush_match_offline_exactly(self):
         config = hypertrio_config()
