@@ -80,12 +80,16 @@ class TranslationCache(ABC):
         """Return the cached value for ``key`` or ``None``; updates stats."""
 
     @abstractmethod
-    def insert(self, key: Hashable, value: Any, priority: int = 0) -> None:
+    def insert(
+        self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
+    ) -> None:
         """Insert or update ``key``; may evict another entry.
 
         ``priority`` > 0 marks a prefetch fill whose entry should enter
         with elevated replacement priority (see
         :meth:`repro.cache.policies.ReplacementPolicy.promote`).
+        ``pinned`` marks a prefetch fill that victim selection must skip
+        until its first hit (the DevTLB install of a completed prefetch).
         """
 
     @abstractmethod

@@ -10,8 +10,9 @@ We realise this by reserving ``num_sets / n`` consecutive sets per partition
 and computing the set index as ``partition_base + address_hash`` within the
 partition.  When a partition holds exactly one row (the configuration the
 paper evaluates for the DevTLB: 64 entries, 8-way, 8 partitions, one 8-entry
-row per tenant group), the address hash degenerates and the row is shared by
-all tenants mapped onto that PTag.
+row per tenant group; likewise the L2/L3 TLBs' 32 and 64 partitions), the
+address hash degenerates, the row is shared by all tenants mapped onto that
+PTag, and the set index is just ``sid mod n``.
 """
 
 from __future__ import annotations
@@ -67,13 +68,12 @@ class PartitionedCache(SetAssociativeCache):
             indexer=self._partitioned_index,
             next_use=next_use,
         )
+        if self._sets_per_partition == 1:
+            self._sid_sets = num_partitions
 
     def _partitioned_index(self, key: Hashable, num_sets: int) -> int:
         if not (isinstance(key, tuple) and len(key) == 2):
-            raise TypeError(
-                f"{self.name}: partitioned caches require (sid, page) keys, "
-                f"got {key!r}"
-            )
+            self._bad_key(key)
         sid, secondary = key
         partition = partition_of(sid, self.num_partitions)
         base = partition * self._sets_per_partition
@@ -94,10 +94,7 @@ class PartitionedCache(SetAssociativeCache):
         the isolation property the paper claims.
         """
         if not (isinstance(key, tuple) and len(key) == 2):
-            raise TypeError(
-                f"{self.name}: partitioned caches require (sid, page) keys, "
-                f"got {key!r}"
-            )
+            self._bad_key(key)
         return partition_of(key[0], self.num_partitions)
 
     def partition_occupancy(self, partition: int) -> int:

@@ -10,13 +10,16 @@ halved.
 Policies are per-*set* objects: the owning cache creates one policy instance
 per set (row), and notifies it on hits, fills, and when it must pick a
 victim.  Keys are opaque hashables.
+
+Every policy keeps its per-set state in a plain insertion-ordered ``dict``:
+iteration order is the tie-break (oldest first), and only LRU ever moves a
+key, by popping and re-adding it.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Optional
 
 
@@ -65,20 +68,23 @@ class LruPolicy(ReplacementPolicy):
     """Least-recently-used eviction."""
 
     def __init__(self):
-        self._order: "OrderedDict[Hashable, None]" = OrderedDict()
+        #: Keys from least to most recently used.
+        self._order: Dict[Hashable, None] = {}
 
     def on_hit(self, key: Hashable) -> None:
-        self._order.move_to_end(key)
+        order = self._order
+        order[key] = order.pop(key)
 
     def on_fill(self, key: Hashable) -> None:
-        self._order[key] = None
-        self._order.move_to_end(key)
+        order = self._order
+        order.pop(key, None)
+        order[key] = None
 
     def on_evict(self, key: Hashable) -> None:
         del self._order[key]
 
     def promote(self, key: Hashable, steps: int = 1) -> None:
-        self._order.move_to_end(key)
+        self.on_hit(key)
 
     def victim(self, excluding=frozenset()) -> Hashable:
         if not self._order:
@@ -96,7 +102,7 @@ class FifoPolicy(ReplacementPolicy):
     """First-in-first-out eviction (insertion order, hits ignored)."""
 
     def __init__(self):
-        self._order: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._order: Dict[Hashable, None] = {}
 
     def on_hit(self, key: Hashable) -> None:
         pass
@@ -132,14 +138,14 @@ class LfuPolicy(ReplacementPolicy):
         if counter_bits < 1:
             raise ValueError("counter_bits must be >= 1")
         self.counter_max = (1 << counter_bits) - 1
-        self._counts: "OrderedDict[Hashable, int]" = OrderedDict()
+        self._counts: Dict[Hashable, int] = {}
 
     def on_hit(self, key: Hashable) -> None:
         self._bump(key)
 
     def on_fill(self, key: Hashable) -> None:
-        self._counts[key] = 0
-        self._bump(key)
+        # The first count: 1 never saturates (counter_max >= 1).
+        self._counts[key] = 1
 
     def promote(self, key: Hashable, steps: int = 1) -> None:
         for _ in range(steps):
@@ -151,17 +157,19 @@ class LfuPolicy(ReplacementPolicy):
     def victim(self, excluding=frozenset()) -> Hashable:
         if not self._counts:
             raise LookupError("victim() on an empty set")
-        best_key, best_count = None, None
+        # Every count is at most counter_max, so the first key scanned
+        # always beats this bound; strict ``<`` keeps the oldest of a tie.
+        best_key, best_count = None, self.counter_max + 1
         if excluding:
             for key, count in self._counts.items():
                 if key in excluding:
                     continue
-                if best_count is None or count < best_count:
+                if count < best_count:
                     best_key, best_count = key, count
         else:
             # Hot path: no pinned entries to skip.
             for key, count in self._counts.items():
-                if best_count is None or count < best_count:
+                if count < best_count:
                     best_key, best_count = key, count
         return best_key
 
@@ -187,7 +195,7 @@ class RandomPolicy(ReplacementPolicy):
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self._keys: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._keys: Dict[Hashable, None] = {}
 
     def on_hit(self, key: Hashable) -> None:
         pass
@@ -221,7 +229,7 @@ class OraclePolicy(ReplacementPolicy):
 
     def __init__(self, next_use: Callable[[Hashable], Optional[float]]):
         self._next_use = next_use
-        self._keys: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._keys: Dict[Hashable, None] = {}
 
     def on_hit(self, key: Hashable) -> None:
         pass

@@ -9,7 +9,7 @@ and the paper's SID-partitioned variants (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, NoReturn, Optional
 
 from repro.cache.base import TranslationCache
 from repro.cache.policies import ReplacementPolicy, make_policy_factory
@@ -72,6 +72,12 @@ class SetAssociativeCache(TranslationCache):
         Future-knowledge callable, required when ``policy == "oracle"``.
     """
 
+    #: Nonzero when the set index is the key's SID modulo this many sets:
+    #: a :class:`~repro.cache.partitioned.PartitionedCache` whose every
+    #: partition is one set.  ``lookup`` and ``insert`` then compute the
+    #: index inline instead of calling the indexer.
+    _sid_sets = 0
+
     def __init__(
         self,
         num_entries: int,
@@ -97,8 +103,9 @@ class SetAssociativeCache(TranslationCache):
         self._policies: List[ReplacementPolicy] = [factory() for _ in range(self.num_sets)]
         self._sets: List[Dict[Hashable, Any]] = [{} for _ in range(self.num_sets)]
         # Pinned prefetch entries per set (insertion-ordered so the oldest
-        # pin is recycled first).  At least two ways per set stay unpinned
-        # so victim selection can never starve demand fills entirely.
+        # pin is recycled first).  The budget leaves at least one way per
+        # set unpinned (two above 2 ways), so demand fills always find a
+        # victim; a direct-mapped cache pins nothing.
         self._pinned: List[Dict[Hashable, None]] = [{} for _ in range(self.num_sets)]
         if ways > 2:
             self.pin_capacity = ways - 2
@@ -111,13 +118,34 @@ class SetAssociativeCache(TranslationCache):
     def _set_for(self, key: Hashable) -> int:
         index = self._indexer(key, self.num_sets)
         if not 0 <= index < self.num_sets:
-            raise ValueError(
-                f"indexer returned {index}, outside 0..{self.num_sets - 1}"
-            )
+            self._out_of_range(index)
         return index
 
+    def _out_of_range(self, index: int) -> NoReturn:
+        raise ValueError(
+            f"indexer returned {index}, outside 0..{self.num_sets - 1}"
+        )
+
+    def _bad_key(self, key: Hashable) -> NoReturn:
+        raise TypeError(
+            f"{self.name}: partitioned caches require (sid, page) keys, "
+            f"got {key!r}"
+        )
+
+    # ``lookup`` and ``insert`` run once per cache access on the walk path,
+    # so each computes its set index inline (the same value ``_set_for``
+    # returns) rather than through a chain of calls.
     def lookup(self, key: Hashable) -> Optional[Any]:
-        index = self._set_for(key)
+        sid_sets = self._sid_sets
+        if sid_sets:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                self._bad_key(key)
+            index = key[0] % sid_sets
+        else:
+            num_sets = self.num_sets
+            index = self._indexer(key, num_sets)
+            if not 0 <= index < num_sets:
+                self._out_of_range(index)
         entry_set = self._sets[index]
         if key in entry_set:
             self.stats.hits += 1
@@ -136,10 +164,20 @@ class SetAssociativeCache(TranslationCache):
         ``priority`` > 0 promotes the entry's replacement state that many
         extra steps.  ``pinned`` marks a prefetch fill that must survive
         until its predicted use: pinned entries are excluded from victim
-        selection until first hit, with at most ``ways // 2`` pins per set
-        (the oldest pin is released when the budget is exceeded).
+        selection until first hit, with at most ``pin_capacity`` pins per
+        set (``ways - 2`` above 2 ways, 1 at 2 ways, none at 1 way; the
+        oldest pin is released when the budget is exceeded).
         """
-        index = self._set_for(key)
+        sid_sets = self._sid_sets
+        if sid_sets:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                self._bad_key(key)
+            index = key[0] % sid_sets
+        else:
+            num_sets = self.num_sets
+            index = self._indexer(key, num_sets)
+            if not 0 <= index < num_sets:
+                self._out_of_range(index)
         entry_set = self._sets[index]
         policy = self._policies[index]
         pins = self._pinned[index]
@@ -154,9 +192,9 @@ class SetAssociativeCache(TranslationCache):
         if len(entry_set) >= self.ways:
             victim = policy.victim(excluding=pins)
             if victim is None:
-                # Every resident entry is pinned (cannot happen while the
-                # pin budget is ways // 2, but stay safe): recycle the
-                # oldest pin.
+                # Every resident entry is pinned (cannot happen while
+                # pin_capacity < ways, but stay safe): recycle the oldest
+                # pin.
                 victim = next(iter(pins))
                 del pins[victim]
             policy.on_evict(victim)

@@ -158,41 +158,51 @@ class Iommu:
 
     # ------------------------------------------------------------------
     def _charge_walk(self, sid: int, walk: TwoDimensionalWalk):
-        """Charge latency for a 2-D walk given the walk caches' contents."""
-        timings = self.timings
-        memory = self.memory
+        """Charge latency for a 2-D walk given the walk caches' contents.
+
+        Every access is one ``lookup`` and every miss one ``insert``.  The
+        bound methods are read from the instances on each walk, so a
+        wrapper installed on a cache instance still sees every call.
+        """
+        nested_lookup = self.nested_tlb.lookup
+        nested_insert = self.nested_tlb.insert
+        pte_lookup = self.pte_cache.lookup
+        pte_insert = self.pte_cache.insert
+        read = self.memory.read
+        hit_ns = self.timings.cache_hit_ns
         latency = 0.0
         accesses = 0
         nested_hits = 0
         nested_misses = 0
         for phase in walk.phases:
             nested_key = (sid, phase.gpa_page)
-            if self.nested_tlb.lookup(nested_key) is not None:
+            if nested_lookup(nested_key) is not None:
                 nested_hits += 1
-                latency += timings.cache_hit_ns
+                latency += hit_ns
             else:
                 nested_misses += 1
                 # Host walk of this guest-physical page: each host PTE read
                 # first tries the PTE cache.
                 for step in phase.host_steps:
                     pte_key = (sid, step.entry_address)
-                    if self.pte_cache.lookup(pte_key) is not None:
-                        latency += timings.cache_hit_ns
+                    if pte_lookup(pte_key) is not None:
+                        latency += hit_ns
                     else:
-                        latency += memory.read("pte")
+                        latency += read("pte")
                         accesses += 1
-                        self.pte_cache.insert(pte_key, True)
-                self.nested_tlb.insert(nested_key, True)
-            if phase.guest_entry_hpa is not None:
+                        pte_insert(pte_key, True)
+                nested_insert(nested_key, True)
+            guest_entry_hpa = phase.guest_entry_hpa
+            if guest_entry_hpa is not None:
                 # Reading the guest page-table entry itself (also cacheable:
                 # a tenant's upper guest entries repeat across packets).
-                guest_key = (sid, phase.guest_entry_hpa)
-                if self.pte_cache.lookup(guest_key) is not None:
-                    latency += timings.cache_hit_ns
+                guest_key = (sid, guest_entry_hpa)
+                if pte_lookup(guest_key) is not None:
+                    latency += hit_ns
                 else:
-                    latency += memory.read("pte")
+                    latency += read("pte")
                     accesses += 1
-                    self.pte_cache.insert(guest_key, True)
+                    pte_insert(guest_key, True)
         return latency, accesses, nested_hits, nested_misses
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ reach DRAM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.mem.address import PAGE_SHIFT_4K, page_base
 from repro.mem.pagetable import AddressSpace, TranslationFault, WalkStep
@@ -67,7 +67,7 @@ class NestedWalkPhase:
     guest_level: int
     gpa_page: int
     host_steps: Tuple[WalkStep, ...]
-    guest_entry_hpa: int
+    guest_entry_hpa: Optional[int]
 
     @property
     def access_count(self) -> int:

@@ -1,6 +1,7 @@
 """Tests for the repro-sim command-line interface."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,33 @@ class TestCommands:
         assert main(["sweep", "--tenants", "2"]) == 0
         from repro.analysis.scale import SMOKE
         assert calls and all(cap == SMOKE.max_packets for cap in calls)
+
+
+class TestSimulateResume:
+    def test_resume_prints_the_uninterrupted_summary(self, capsys, tmp_path):
+        """A run resumed from its last snapshot (packet 3000 of 4000)
+        reports exactly what the checkpointing run itself reported."""
+        # Checkpointing routes SIGTERM/SIGINT to its interrupt flag; give
+        # the test process its own handlers back afterwards.
+        saved = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        directory = tmp_path / "ckpts"
+        try:
+            assert main([
+                "simulate", "--config", "base", "--tenants", "64",
+                "--packets", "4000", "--checkpoint-dir", str(directory),
+                "--checkpoint-every", "1500",
+            ]) == 0
+            straight = capsys.readouterr().out
+            (snapshot,) = directory.iterdir()
+            assert main([
+                "simulate", "--config", "base", "--resume-from", str(snapshot),
+            ]) == 0
+            resumed = capsys.readouterr().out
+        finally:
+            for signum, handler in saved.items():
+                signal.signal(signum, handler)
+        assert "drops 3999," in straight
+        assert resumed == straight
 
 
 class TestObservabilityFlags:

@@ -26,8 +26,16 @@ class TestPartitionSelection:
             PartitionedCache(num_entries=64, ways=8, num_partitions=3)
 
     def test_keys_must_be_sid_page_tuples(self, cache):
-        with pytest.raises(TypeError):
-            cache.lookup("not-a-tuple")
+        # One set per partition: lookup and insert index by key[0] inline,
+        # which a 3-tuple or a 1-tuple would satisfy without the check.
+        accesses = (
+            cache.lookup, lambda key: cache.insert(key, 1), cache.probe, cache.invalidate,
+        )
+        for key in ("not-a-tuple", (1, 2, 3), (5,)):
+            for access in accesses:
+                with pytest.raises(TypeError):
+                    access(key)
+        assert len(cache) == 0
 
 
 class TestIsolation:

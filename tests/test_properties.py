@@ -1,10 +1,17 @@
 """Property-based tests (hypothesis) for core data structures."""
 
+import dataclasses
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.partitioned import PartitionedCache, partition_of
-from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
+from repro.cache.setassoc import (
+    FullyAssociativeCache,
+    SetAssociativeCache,
+    default_indexer,
+)
 from repro.core.ptb import PendingTranslationBuffer
 from repro.mem.address import (
     PAGE_SHIFT_2M,
@@ -70,6 +77,146 @@ cache_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "lookup", "invalidate"]), cache_keys),
     max_size=200,
 )
+
+
+# Few keys for an 8-entry cache, and long runs (hypothesis draws about
+# five items for a list with no min_size), so hits, pins and invalidations
+# of resident entries all happen within one example.  A priority of 15
+# saturates an LFU counter at once; a quarter of inserts pin, so victim
+# scans run both with and without pinned entries to skip.
+small_cache_keys = st.tuples(
+    st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=5)
+)
+pinned_cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "lookup", "invalidate"]),
+        small_cache_keys,
+        st.sampled_from([0, 0, 1, 2, 15]),  # insert priority
+        st.sampled_from([False, False, False, True]),  # insert pinned
+    ),
+    min_size=100,
+    max_size=400,
+)
+
+
+def fixed_next_use(key):
+    """A fixed future for the oracle: page 5 is never reused, and the
+    other distances tie often, which exercises the tie-break."""
+    sid, page = key
+    return None if page == 5 else (sid + page) % 3
+
+
+class ReferenceCache:
+    """List-based model of :class:`SetAssociativeCache` replacement.
+
+    Each set is a list of ``[key, value, lfu_count]`` entries in the
+    policy's order: recency for LRU, insertion for the rest.  Pins are a
+    list per set, oldest first.
+    """
+
+    COUNTER_MAX = 15
+
+    def __init__(self, num_sets, ways, policy):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.policy = policy
+        self.rows = [[] for _ in range(num_sets)]
+        self.pins = [[] for _ in range(num_sets)]
+        # Each set's random policy draws from its own Random(0).
+        self.rngs = [random.Random(0) for _ in range(num_sets)]
+        self.pin_capacity = ways - 2 if ways > 2 else ways - 1
+        self.evicted = []
+        self.stats = dict(hits=0, misses=0, fills=0, evictions=0, invalidations=0)
+
+    def keys(self):
+        return [entry[0] for row in self.rows for entry in row]
+
+    def _find(self, row, key):
+        for entry in row:
+            if entry[0] == key:
+                return entry
+        return None
+
+    def _bump(self, row, entry, steps):
+        if self.policy == "lru":
+            row.remove(entry)
+            row.append(entry)
+        elif self.policy == "lfu":
+            for _ in range(steps):
+                if entry[2] == self.COUNTER_MAX:
+                    for other in row:
+                        other[2] //= 2
+                entry[2] += 1
+
+    def _victim(self, index):
+        pins = self.pins[index]
+        candidates = [entry[0] for entry in self.rows[index] if entry[0] not in pins]
+        if not candidates:
+            return pins.pop(0)
+        if self.policy == "lfu":
+            counts = {entry[0]: entry[2] for entry in self.rows[index]}
+            return min(candidates, key=counts.__getitem__)
+        if self.policy == "random":
+            return self.rngs[index].choice(candidates)
+        if self.policy == "oracle":
+            never = [key for key in candidates if fixed_next_use(key) is None]
+            return never[0] if never else max(candidates, key=fixed_next_use)
+        return candidates[0]
+
+    def _pin(self, pins, key):
+        if self.pin_capacity == 0:
+            return
+        if key in pins:
+            pins.remove(key)
+        while len(pins) >= self.pin_capacity:
+            pins.pop(0)
+        pins.append(key)
+
+    def insert(self, key, value, priority, pinned):
+        index = default_indexer(key, self.num_sets)
+        row, pins = self.rows[index], self.pins[index]
+        entry = self._find(row, key)
+        if entry is None:
+            if len(row) >= self.ways:
+                victim = self._victim(index)
+                row.remove(self._find(row, victim))
+                if victim in pins:
+                    pins.remove(victim)
+                self.stats["evictions"] += 1
+                self.evicted.append((key, victim))
+            entry = [key, value, 1]
+            row.append(entry)
+            self.stats["fills"] += 1
+        else:
+            entry[1] = value
+            self._bump(row, entry, 1)
+        if priority:
+            self._bump(row, entry, priority)
+        if pinned:
+            self._pin(pins, key)
+
+    def lookup(self, key):
+        index = default_indexer(key, self.num_sets)
+        entry = self._find(self.rows[index], key)
+        if entry is None:
+            self.stats["misses"] += 1
+            return None
+        self.stats["hits"] += 1
+        self._bump(self.rows[index], entry, 1)
+        if key in self.pins[index]:
+            self.pins[index].remove(key)
+        return entry[1]
+
+    def invalidate(self, key):
+        index = default_indexer(key, self.num_sets)
+        entry = self._find(self.rows[index], key)
+        if entry is None:
+            return False
+        self.rows[index].remove(entry)
+        if key in self.pins[index]:
+            self.pins[index].remove(key)
+        self.stats["invalidations"] += 1
+        return True
 
 
 class TestCacheProperties:
@@ -140,6 +287,33 @@ class TestCacheProperties:
             value = cache.probe(key)
             if value is not None:
                 assert value == key
+
+
+    @given(
+        pinned_cache_ops, st.sampled_from(["lru", "lfu", "fifo", "random", "oracle"])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_victim_order_matches_reference_model(self, operations, policy):
+        """Every policy evicts the entry a list-based model of its documented
+        rule picks, in the same order, with the same statistics."""
+        cache = SetAssociativeCache(
+            num_entries=8, ways=4, policy=policy,
+            next_use=fixed_next_use if policy == "oracle" else None,
+        )
+        evicted = []
+        cache.eviction_listener = lambda key, victim: evicted.append((key, victim))
+        model = ReferenceCache(cache.num_sets, cache.ways, policy)
+        for step, (operation, key, priority, pinned) in enumerate(operations):
+            if operation == "insert":
+                cache.insert(key, step, priority=priority, pinned=pinned)
+                model.insert(key, step, priority, pinned)
+            elif operation == "lookup":
+                assert cache.lookup(key) == model.lookup(key)
+            else:
+                assert cache.invalidate(key) == model.invalidate(key)
+        assert evicted == model.evicted
+        assert dataclasses.asdict(cache.stats) == model.stats
+        assert sorted(cache.keys()) == sorted(model.keys())
 
 
 class TestPtbProperties:

@@ -178,12 +178,26 @@ class TestIndexing:
         b = default_indexer((1, 0xBBE00), 8)
         assert a == b  # same page, different SID -> same set (conflict!)
 
-    def test_indexer_out_of_range_rejected(self):
-        cache = SetAssociativeCache(
-            num_entries=4, ways=2, indexer=lambda key, n: n + 1
-        )
+    # -1 matters most: a list takes it silently, so without the check the
+    # access would land in set num_sets - 1 with no error.
+    @pytest.mark.parametrize(
+        "indexer", [lambda key, n: n + 1, lambda key, n: -1], ids=["past-end", "negative"]
+    )
+    @pytest.mark.parametrize(
+        "access",
+        [
+            lambda cache: cache.lookup("k"),
+            lambda cache: cache.insert("k", 1),
+            lambda cache: cache.probe("k"),
+            lambda cache: cache.invalidate("k"),
+        ],
+        ids=["lookup", "insert", "probe", "invalidate"],
+    )
+    def test_indexer_out_of_range_rejected(self, access, indexer):
+        cache = SetAssociativeCache(num_entries=4, ways=2, indexer=indexer)
         with pytest.raises(ValueError):
-            cache.lookup("k")
+            access(cache)
+        assert len(cache) == 0
 
 
 class TestFullyAssociative:
