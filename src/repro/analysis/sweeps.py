@@ -224,7 +224,7 @@ def run_point(
     then only label the point.  The ``checkpoint_*`` / ``resume_from``
     knobs plumb straight into :func:`repro.sim.simulator.simulate` —
     ``resume_from`` restores a mid-run snapshot (no trace is synthesized
-    at all; the snapshot carries its own state).
+    here; the snapshot rebuilds its own from the recipe it stores).
     """
     if _point_hook is not None:
         result = _point_hook(
@@ -246,8 +246,9 @@ def run_point(
                 result=result,
             )
     if resume_from is not None:
-        # The snapshot carries the full trace and loop state; nothing to
-        # synthesize.  The config is still cross-checked inside simulate.
+        # The snapshot carries the loop state and rebuilds its trace;
+        # nothing to synthesize.  The config is still cross-checked
+        # inside simulate.
         result = simulate(
             config,
             trace=None,

@@ -244,9 +244,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
     checkpoint_every, checkpoint_path = _simulate_checkpoint_plan(args)
     if args.resume_from:
-        # The checkpoint carries the full engine state — trace, faults,
-        # and observability included — so flags that would rebuild any of
-        # those cannot apply to a resumed run.
+        # The checkpoint carries the full engine state — faults and
+        # observability included — and rebuilds its own trace, so flags
+        # that would rebuild any of those cannot apply to a resumed run.
         for flag, name in (
             (args.trace_file, "--trace-file"),
             (args.trace_out, "--trace-out"),

@@ -245,6 +245,16 @@ class AddressSpace:
         self._guest_allocator = guest_allocator
         self.guest_table = PageTable(host_allocator_adapter(guest_allocator), f"{name}/guest")
         self.host_table = PageTable(host_allocator, f"{name}/host")
+        self._backing_log = None
+
+    def log_backings(self, log: list, key) -> None:
+        """Append ``(key, gpa)`` to ``log`` for each host backing made from now on.
+
+        The host allocator may be shared with other address spaces, so
+        which frames a backing gets depends on the order of backings
+        across all of them; one log shared by every space records it.
+        """
+        self._backing_log = (log, key)
 
     def map_io_page(self, giova: int, page_shift: int = PAGE_SHIFT_4K) -> int:
         """Create a full two-level mapping for the page holding ``giova``.
@@ -282,6 +292,9 @@ class AddressSpace:
         except TranslationFault:
             host_frame = self.host_table._allocator.allocate(1)
             self.host_table.map_page(gpa, host_frame)
+            if self._backing_log is not None:
+                log, key = self._backing_log
+                log.append((key, gpa))
             return host_frame + (gpa & 0xFFF)
 
     def translate(self, giova: int) -> int:

@@ -152,18 +152,16 @@ class AdmissionController:
     meaningful at the engine's virtual submission time.
     """
 
-    #: Latched by the server's SLO watch engine (``--slo-backpressure``):
-    #: while True, every dispatch sees backpressure regardless of PTB
-    #: occupancy.  Class-level default so controllers pickled into
-    #: checkpoints before this attribute existed still load.
-    slo_latched = False
-
     def __init__(self, config: Optional[AdmissionConfig] = None):
         self.config = config or AdmissionConfig()
         self._buckets: Dict[int, TokenBucket] = {}
         self._in_flight: Dict[int, int] = {}
         self._latched: Dict[int, bool] = {}
         self.stats: Dict[int, TenantAdmissionStats] = {}
+        #: Latched by the server's SLO watch engine (``--slo-backpressure``):
+        #: while True, every dispatch sees backpressure regardless of PTB
+        #: occupancy.
+        self.slo_latched = False
 
     # ------------------------------------------------------------------
     def _stats_for(self, sid: int) -> TenantAdmissionStats:

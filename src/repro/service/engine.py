@@ -27,8 +27,9 @@ docs/SERVICE.md).
 
 Everything here is synchronous and picklable: the asyncio server calls
 :meth:`submit` from its single dispatcher task, and warm restart pickles
-the whole engine through the PR 5 checkpoint machinery (engine kind
-``"service"``).
+the engine's state through the offline runs' checkpoint machinery
+(engine kind ``"service"``), which rebuilds the trace and tenant system
+from the trace's recipe instead of storing them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from typing import Dict, Optional
 
 from repro.core.config import ArchConfig
 from repro.core.results import SimulationResult
-from repro.sim.checkpoint import CheckpointError, SimulationCheckpoint
+from repro.sim.checkpoint import (
+    CheckpointError,
+    SimulationCheckpoint,
+    check_config,
+)
 from repro.sim.simulator import HyperSimulator
 from repro.trace.constructor import HyperTrace
 from repro.trace.records import PacketRecord
@@ -306,9 +311,10 @@ class ServiceEngine:
     def save_checkpoint(self, path, extra_state: Optional[dict] = None):
         """Snapshot this engine (and any ``extra_state``) to ``path``.
 
-        The whole engine pickles through the same crash-safe machinery as
-        offline runs (atomic tmp+fsync+replace, versioned header); a
-        restored engine continues submitting where this one stopped.
+        The engine's state goes through the same crash-safe machinery as
+        offline runs (atomic tmp+fsync+replace, versioned header, the
+        trace rebuilt from its recipe on load); a restored engine
+        continues submitting where this one stopped.
         """
         state = {"service": self}
         if extra_state:
@@ -318,6 +324,7 @@ class ServiceEngine:
             packets_done=self.processed,
             config=self.sim._config_dict(),
             state=state,
+            trace=self.sim.trace,
         )
         return snapshot.save(path)
 
@@ -337,19 +344,7 @@ def load_service_checkpoint(path, expect_config: Optional[ArchConfig] = None):
             f"checkpoint {path} was written by the {snapshot.engine!r} engine; "
             f"cannot warm-restart the service from it"
         )
-    if expect_config is not None:
-        from repro.core.config_io import config_to_dict
-
-        expected = config_to_dict(expect_config)
-        if expected != snapshot.config:
-            mismatched = sorted(
-                key for key in set(expected) | set(snapshot.config)
-                if expected.get(key) != snapshot.config.get(key)
-            )
-            raise CheckpointError(
-                f"checkpoint {path} was written for a different config "
-                f"(differs in: {', '.join(mismatched)})"
-            )
+    check_config(path, snapshot.config, expect_config)
     engine = snapshot.state["service"]
     if not isinstance(engine, ServiceEngine):
         raise CheckpointError(

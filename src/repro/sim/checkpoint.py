@@ -21,6 +21,26 @@ its Mersenne state, heaps and insertion-ordered dicts keep their order.
 ``tests/test_checkpoint.py`` pins byte-identity of resumed results for
 both engines.
 
+The roots also reach the run's inputs: the
+:class:`~repro.trace.constructor.HyperTrace`, its packet list and its
+tenant system (page tables and walkers).  Those are far larger than the
+state and do not change in a run, with one exception, so the state
+stream writes them as persistent references and the snapshot stores how
+to rebuild them instead:
+
+* the trace's :class:`~repro.trace.constructor.TraceRecipe` (the
+  construction arguments) and a SHA-256 of its packets — plus the packets
+  themselves only when they were swapped in after construction;
+* the tenant system's backing log.  Walks back host pages on demand from
+  an allocator all tenants share, so the host page tables are run state;
+  replaying the ``(sid, gpa)`` log on a rebuilt system reproduces them,
+  and the host allocator cursor is recorded to check the replay.
+
+``load`` rebuilds the trace, checks the digest, replays the log, checks
+the cursor, and only then unpickles the state against the rebuilt
+objects.  Walker memos are not restored: once the page tables match they
+are a pure cache.
+
 Writes are atomic and durable: the stream goes to a same-directory temp
 file, is fsync'd, and then ``os.replace``\\ s the target, so a crash
 mid-save leaves either the previous snapshot or the new one — never a
@@ -35,6 +55,7 @@ and raises :class:`SimulationInterrupted` carrying the snapshot path.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -43,8 +64,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.trace.constructor import HyperTrace
+from repro.trace.records import compute_trace_stats
+
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PathLike = Union[str, os.PathLike]
 
@@ -161,25 +185,36 @@ class CheckpointPolicy:
 
 @dataclass
 class SimulationCheckpoint:
-    """One versioned snapshot of a simulation at a packet barrier."""
+    """One versioned snapshot of a simulation at a packet barrier.
+
+    ``state`` holds the roots the run loop will touch again; ``trace`` is
+    the run's input, which the state refers to and the file rebuilds
+    rather than stores.
+    """
 
     engine: str
     packets_done: int
     config: Dict[str, Any]
     state: Dict[str, Any]
+    trace: HyperTrace
     version: int = CHECKPOINT_VERSION
 
     # -- persistence ---------------------------------------------------
     def save(self, path: PathLike) -> Path:
-        """Atomically write the snapshot to ``path`` (tmp + fsync + replace)."""
+        """Atomically write the snapshot to ``path`` (tmp + fsync + replace).
+
+        The file is the magic, a pickled header (format version, engine,
+        packets done, config and the inputs' rebuild description), then
+        the state stream.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        header = {
             "version": self.version,
             "engine": self.engine,
             "packets_done": self.packets_done,
             "config": self.config,
-            "state": self.state,
+            "inputs": _describe_inputs(self.trace),
         }
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
@@ -187,7 +222,8 @@ class SimulationCheckpoint:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(CHECKPOINT_MAGIC)
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(header, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                _StatePickler(handle, self.trace).dump(self.state)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
@@ -202,7 +238,12 @@ class SimulationCheckpoint:
 
     @classmethod
     def load(cls, path: PathLike) -> "SimulationCheckpoint":
-        """Read and validate a snapshot written by :meth:`save`."""
+        """Read and validate a snapshot written by :meth:`save`.
+
+        Rebuilds and checks the inputs before it unpickles any state, so
+        a snapshot whose inputs no longer rebuild raises
+        :class:`CheckpointError` without resuming anything.
+        """
         path = Path(path)
         if not path.exists():
             raise CheckpointError(f"checkpoint not found: {path}")
@@ -214,22 +255,25 @@ class SimulationCheckpoint:
                         f"{path} is not a simulation checkpoint "
                         f"(bad magic {magic!r})"
                     )
-                payload = pickle.load(handle)
+                header = pickle.load(handle)
+                version = header.get("version")
+                if version != CHECKPOINT_VERSION:
+                    raise CheckpointError(
+                        f"checkpoint {path} has format version {version}; "
+                        f"this build reads version {CHECKPOINT_VERSION}"
+                    )
+                trace = _rebuild_inputs(path, header["inputs"])
+                state = _StateUnpickler(handle, trace).load()
         except CheckpointError:
             raise
         except Exception as exc:
             raise CheckpointError(f"failed to read checkpoint {path}: {exc}") from exc
-        version = payload.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has format version {version}; this build "
-                f"reads version {CHECKPOINT_VERSION}"
-            )
         return cls(
-            engine=payload["engine"],
-            packets_done=payload["packets_done"],
-            config=payload["config"],
-            state=payload["state"],
+            engine=header["engine"],
+            packets_done=header["packets_done"],
+            config=header["config"],
+            state=state,
+            trace=trace,
             version=version,
         )
 
@@ -278,23 +322,132 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+# ----------------------------------------------------------------------
+# Inputs: described on save, rebuilt and checked on load
+# ----------------------------------------------------------------------
+def input_references(trace: HyperTrace) -> Dict[str, Any]:
+    """The input objects the state stream names instead of pickling."""
+    return {"trace": trace, "packets": trace.packets, "system": trace.system}
+
+
+def _describe_inputs(trace: HyperTrace) -> Dict[str, Any]:
+    """What :func:`_rebuild_inputs` needs to rebuild and check ``trace``."""
+    if trace.recipe is None:
+        raise CheckpointError(
+            "cannot checkpoint a trace that TraceConstructor.construct "
+            "did not build: there is no recipe to rebuild it from"
+        )
+    system = trace.system
+    return {
+        "recipe": trace.recipe,
+        "packets_digest": trace.packets_digest(),
+        "packets": None if trace.packets_from_recipe else trace.packets,
+        "backings": system.backing_log,
+        "host_frames": system.host_allocator.frames_allocated,
+    }
+
+
+def _rebuild_inputs(path: Path, inputs: Dict[str, Any]) -> HyperTrace:
+    """Rebuild the trace ``inputs`` describe and check it is the run's."""
+    trace = inputs["recipe"].build()
+    packets = inputs["packets"]
+    if packets is not None:
+        # Swapped in after construction, as the CLI's --trace-file does.
+        trace = dataclasses.replace(
+            trace, packets=packets, stats=compute_trace_stats(packets)
+        )
+    if trace.packets_digest() != inputs["packets_digest"]:
+        raise CheckpointError(
+            f"checkpoint {path}: the trace rebuilt from its recipe does not "
+            f"match its input digest (packets digest "
+            f"{trace.packets_digest()[:16]}, recorded "
+            f"{inputs['packets_digest'][:16]})"
+        )
+    system = trace.system
+    backings = inputs["backings"]
+    system.replay_backings(backings)
+    frames = system.host_allocator.frames_allocated
+    if frames != inputs["host_frames"]:
+        raise CheckpointError(
+            f"checkpoint {path}: replaying its {len(backings)} host backings "
+            f"leaves the host allocator cursor at frame {frames}, not the "
+            f"recorded {inputs['host_frames']}"
+        )
+    return trace
+
+
+class _StatePickler(pickle.Pickler):
+    """Pickles the state roots, naming the run's inputs by reference."""
+
+    def __init__(self, file, trace: HyperTrace):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._names = {
+            id(obj): name for name, obj in input_references(trace).items()
+        }
+
+    def persistent_id(self, obj):
+        return self._names.get(id(obj))
+
+
+class _StateUnpickler(pickle.Unpickler):
+    """Unpickles the state roots against rebuilt inputs."""
+
+    def __init__(self, file, trace: HyperTrace):
+        super().__init__(file)
+        self._objects = input_references(trace)
+
+    def persistent_load(self, pid):
+        try:
+            return self._objects[pid]
+        except KeyError:
+            raise pickle.UnpicklingError(
+                f"unknown input reference {pid!r}"
+            ) from None
+
+
+def check_config(path: PathLike, written: Dict[str, Any], expect_config) -> None:
+    """Refuse a snapshot whose config ``written`` is not ``expect_config``.
+
+    No check when ``expect_config`` is ``None``.  The error names every
+    differing top-level field.
+    """
+    if expect_config is None:
+        return
+    from repro.core.config_io import config_to_dict
+
+    expected = config_to_dict(expect_config)
+    if expected != written:
+        mismatched = sorted(
+            key for key in set(expected) | set(written)
+            if expected.get(key) != written.get(key)
+        )
+        raise CheckpointError(
+            f"checkpoint {path} was written for a different config "
+            f"(differs in: {', '.join(mismatched)})"
+        )
+
+
 def resume_simulation(
     path: PathLike,
     expect_engine: Optional[str] = None,
     expect_config=None,
+    expect_trace: Optional[HyperTrace] = None,
     checkpoint_every: int = 0,
     checkpoint_path: Optional[PathLike] = None,
     checkpoint_hook: Optional[Callable[[int, str], None]] = None,
 ):
     """Load ``path`` and run the snapshotted simulation to completion.
 
-    ``expect_engine`` / ``expect_config`` cross-check that the caller is
-    resuming the run it thinks it is: a snapshot from the other engine or
-    from a different architecture raises :class:`CheckpointError` instead
-    of silently producing numbers for the wrong experiment.  When
-    continued checkpointing is requested (``checkpoint_every`` > 0)
-    without an explicit ``checkpoint_path``, snapshots keep going to the
-    file being resumed.
+    ``expect_engine`` / ``expect_config`` / ``expect_trace`` cross-check
+    that the caller is resuming the run it thinks it is: a snapshot from
+    the other engine, from a different architecture or over different
+    packets raises :class:`CheckpointError` instead of silently producing
+    numbers for the wrong experiment.  ``expect_trace`` is only compared:
+    the run always continues on the trace rebuilt from the snapshot,
+    because a trace an earlier run used already holds that run's host
+    backings.  When continued checkpointing is requested
+    (``checkpoint_every`` > 0) without an explicit ``checkpoint_path``,
+    snapshots keep going to the file being resumed.
     """
     snapshot = SimulationCheckpoint.load(path)
     if expect_engine is not None and snapshot.engine != expect_engine:
@@ -302,18 +455,14 @@ def resume_simulation(
             f"checkpoint {path} was written by the {snapshot.engine!r} engine; "
             f"cannot resume it as {expect_engine!r}"
         )
-    if expect_config is not None:
-        from repro.core.config_io import config_to_dict
-
-        expected = config_to_dict(expect_config)
-        if expected != snapshot.config:
-            mismatched = sorted(
-                key for key in set(expected) | set(snapshot.config)
-                if expected.get(key) != snapshot.config.get(key)
-            )
+    check_config(path, snapshot.config, expect_config)
+    if expect_trace is not None:
+        expected = expect_trace.packets_digest()
+        written = snapshot.trace.packets_digest()
+        if expected != written:
             raise CheckpointError(
-                f"checkpoint {path} was written for a different config "
-                f"(differs in: {', '.join(mismatched)})"
+                f"checkpoint {path} was written for a different trace "
+                f"(packets digest {written[:16]}, given trace {expected[:16]})"
             )
     if checkpoint_every > 0 and checkpoint_path is None:
         checkpoint_path = path

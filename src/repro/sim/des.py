@@ -266,6 +266,7 @@ def simulate_evented(
             resume_from,
             expect_engine="event",
             expect_config=config,
+            expect_trace=trace,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
             checkpoint_hook=checkpoint_hook,

@@ -99,9 +99,7 @@ class HyperSimulator:
         tracer = observability.tracer if obs_on else None
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
         self._metrics = observability.metrics if obs_on else None
-        # ``getattr`` keeps bundles pickled before phase profiling existed
-        # loadable from old checkpoints.
-        self._phases = getattr(observability, "phases", None) if obs_on else None
+        self._phases = observability.phases if obs_on else None
         self._oracle: Optional[FutureOracle] = None
         next_use = None
         if config.devtlb.policy.lower() == "oracle":
@@ -296,6 +294,7 @@ class HyperSimulator:
             packets_done=state.processed,
             config=dict(self._config_dict()),
             state={"sim": self, "router": router, "loop": state},
+            trace=self.trace,
         )
         snapshot.save(policy.path)
         if self._tracer is not None:
@@ -538,9 +537,10 @@ def simulate(
     ``resume_from`` restores a run from a checkpoint file written by an
     earlier ``checkpoint_every``/``checkpoint_path`` run and continues it
     to completion; the restored run's result is byte-identical to an
-    uninterrupted one.  The checkpoint carries its own config and trace
-    state, so ``config``/``trace`` are only cross-checked (a mismatching
-    config raises :class:`~repro.sim.checkpoint.CheckpointError`).
+    uninterrupted one.  The checkpoint rebuilds its own trace, so
+    ``config`` and ``trace`` (either may be ``None``) are only
+    cross-checked: a different config or different packets raise
+    :class:`~repro.sim.checkpoint.CheckpointError`.
     """
     if resume_from is not None:
         from repro.sim.checkpoint import resume_simulation
@@ -549,6 +549,7 @@ def simulate(
             resume_from,
             expect_engine="analytic",
             expect_config=config,
+            expect_trace=trace,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
             checkpoint_hook=checkpoint_hook,

@@ -12,6 +12,10 @@ schemes —
 
 Construction stops as soon as *any* tenant runs out of packets, avoiding
 the "edge effect" where only a subset of tenants remains active.
+
+Construction is deterministic, so every trace it returns carries its
+:class:`TraceRecipe`: the construction arguments, from which the trace can
+be built again (checkpoints store the recipe instead of the trace).
 """
 
 from __future__ import annotations
@@ -19,10 +23,15 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.trace.records import PacketRecord, TraceStats, compute_trace_stats
+from repro.trace.records import (
+    PacketRecord,
+    TraceStats,
+    compute_trace_stats,
+    packets_digest,
+)
 from repro.trace.tenant import BenchmarkProfile, TenantSpec, make_tenant_specs
 from repro.trace.workload import HyperTenantSystem, TenantWorkload, build_system
 
@@ -58,6 +67,22 @@ class Interleaving:
         return f"{self.kind}{self.burst}"
 
 
+@dataclass(frozen=True)
+class TraceRecipe:
+    """The :meth:`TraceConstructor.construct` arguments behind a trace."""
+
+    specs: Tuple[TenantSpec, ...]
+    interleaving: str
+    seed: int
+    max_packets: Optional[int]
+
+    def build(self) -> "HyperTrace":
+        """Construct the trace again, as it was when construction returned."""
+        return TraceConstructor(seed=self.seed).construct(
+            self.specs, self.interleaving, max_packets=self.max_packets
+        )
+
+
 @dataclass
 class HyperTrace:
     """A constructed hyper-tenant trace plus the system behind it."""
@@ -66,10 +91,33 @@ class HyperTrace:
     system: HyperTenantSystem
     interleaving: Interleaving
     stats: TraceStats
+    #: How :meth:`TraceConstructor.construct` built this trace.
+    recipe: Optional[TraceRecipe] = field(default=None, repr=False, compare=False)
+    #: The packet list ``recipe`` builds.  ``dataclasses.replace`` copies
+    #: it along with ``recipe``, so packets swapped in after construction
+    #: show as ``packets is not recipe_packets``.
+    recipe_packets: Optional[List[PacketRecord]] = field(
+        default=None, repr=False, compare=False
+    )
+    _digest: Optional[Tuple[List[PacketRecord], str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_tenants(self) -> int:
         return self.stats.num_tenants
+
+    @property
+    def packets_from_recipe(self) -> bool:
+        """Whether ``recipe.build()`` reproduces ``packets``."""
+        return self.recipe is not None and self.packets is self.recipe_packets
+
+    def packets_digest(self) -> str:
+        """:func:`~repro.trace.records.packets_digest` of ``packets``,
+        computed once per packet list."""
+        if self._digest is None or self._digest[0] is not self.packets:
+            self._digest = (self.packets, packets_digest(self.packets))
+        return self._digest[1]
 
 
 def interleave(
@@ -124,6 +172,7 @@ class TraceConstructor:
         ~1500-use data-page periods of the paper's traces — at full scale).
         """
         scheme = Interleaving.parse(interleaving)
+        specs = tuple(specs)
         system, workloads = build_system(specs)
         merged = interleave(
             [workload.packet_stream() for workload in workloads],
@@ -134,11 +183,16 @@ class TraceConstructor:
             packets = list(itertools.islice(merged, max_packets))
         else:
             packets = list(merged)
+        # Host backings made from here on (walks back pages on demand)
+        # are run state, not construction: the system logs them.
+        system.start_backing_log()
         return HyperTrace(
             packets=packets,
             system=system,
             interleaving=scheme,
             stats=compute_trace_stats(packets),
+            recipe=TraceRecipe(specs, str(scheme), self.seed, max_packets),
+            recipe_packets=packets,
         )
 
 

@@ -9,6 +9,7 @@ JSON-lines files so long constructions can be cached between benchmark runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +87,22 @@ def compute_trace_stats(packets: Sequence[PacketRecord]) -> TraceStats:
         min_translations_per_tenant=min(counts),
         max_translations_per_tenant=max(counts),
     )
+
+
+def packets_digest(packets: Sequence[PacketRecord]) -> str:
+    """Canonical SHA-256 of a packet list: every field of every packet, in order.
+
+    The digest depends on the field values alone, not on which objects
+    hold them; checkpoints use it to check that rebuilt inputs are the
+    ones the run used.
+    """
+    digest = hashlib.sha256()
+    for start in range(0, len(packets), 4096):
+        digest.update(repr([
+            (packet.sid, packet.giovas, packet.size_bytes, packet.invalidations)
+            for packet in packets[start:start + 4096]
+        ]).encode())
+    return digest.hexdigest()
 
 
 def write_trace(path: Path, packets: Iterable[PacketRecord]) -> int:

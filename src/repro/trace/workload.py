@@ -97,6 +97,11 @@ class HyperTenantSystem:
         self.host_allocator = FrameAllocator(base=0x10_0000_0000,
                                              scatter=scatter_host_frames)
         self.workloads: Dict[int, TenantWorkload] = {}
+        #: Host backings made since :meth:`start_backing_log`, as
+        #: ``(sid, gpa)`` in the order they happened.  Walks back host
+        #: pages on demand, so this is the only part of the system a run
+        #: changes.
+        self.backing_log: List[Tuple[int, int]] = []
 
     def add_tenant(self, spec: TenantSpec) -> TenantWorkload:
         """Build and register the workload for ``spec``."""
@@ -105,6 +110,20 @@ class HyperTenantSystem:
         workload = build_tenant_workload(spec, self.host_allocator)
         self.workloads[spec.sid] = workload
         return workload
+
+    def start_backing_log(self) -> None:
+        """Log every host backing made from now on into :attr:`backing_log`."""
+        for sid, workload in self.workloads.items():
+            workload.space.log_backings(self.backing_log, sid)
+
+    def replay_backings(self, log) -> None:
+        """Redo logged ``(sid, gpa)`` backings, in order (logging them again).
+
+        On a system freshly built from the same specs this reproduces the
+        logged system's host page tables and host allocator cursor.
+        """
+        for sid, gpa in log:
+            self.workloads[sid].space.ensure_backed(gpa)
 
     def walker_for(self, sid: int) -> TwoDimensionalWalker:
         """Walker callback for the IOMMU."""

@@ -11,11 +11,16 @@ The contract under test (see ``src/repro/sim/checkpoint.py``):
   and partitioning settings, fault plans, and observability;
 * a cooperative interrupt flushes a final snapshot and raises
   :class:`SimulationInterrupted` carrying its path;
-* corrupt, truncated, version-skewed, wrong-engine, or wrong-config
-  checkpoints are rejected with :class:`CheckpointError`, never silently
-  resumed.
+* corrupt, truncated, version-skewed, wrong-engine, wrong-config or
+  wrong-trace checkpoints are rejected with :class:`CheckpointError`,
+  never silently resumed;
+* a snapshot stores the run's state, not its inputs: the state stream
+  names the trace, its packets and its tenant system by reference, and a
+  snapshot whose inputs do not rebuild exactly is refused.
 """
 
+import dataclasses
+import io
 import json
 import pickle
 
@@ -85,6 +90,39 @@ class TestResumeIdentity:
         # the tail from it reproduces the run byte for byte.
         assert path.exists()
         resumed = run(config, None, resume_from=path)
+        assert result_bytes(resumed) == result_bytes(baseline)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_resume_checks_the_given_trace(self, engine, tmp_path):
+        run = ENGINES[engine]
+        config = hypertrio_config()
+        baseline = run(config, small_trace(), warmup_packets=100)
+        path = tmp_path / "run.ckpt"
+        run(config, small_trace(), warmup_packets=100,
+            checkpoint_every=150, checkpoint_path=path)
+        resumed = run(config, small_trace(), resume_from=path)
+        assert result_bytes(resumed) == result_bytes(baseline)
+        with pytest.raises(ckpt.CheckpointError, match="different trace"):
+            run(config, small_trace(seed=1), resume_from=path)
+
+    def test_snapshot_of_a_reused_trace_resumes_identically(self, tmp_path):
+        """A trace an earlier run used (as sweeps' trace cache reuses
+        them) already holds that run's host backings; the snapshot's log
+        carries them too."""
+        config = hypertrio_config()
+
+        def used_trace():
+            trace = small_trace()
+            simulate(base_config(), trace, warmup_packets=100)
+            return trace
+
+        baseline = simulate(config, used_trace(), warmup_packets=100)
+        path = tmp_path / "reused.ckpt"
+        reused = used_trace()
+        checkpointed = simulate(config, reused, warmup_packets=100,
+                                checkpoint_every=150, checkpoint_path=path)
+        assert result_bytes(checkpointed) == result_bytes(baseline)
+        resumed = simulate(config, reused, resume_from=path)
         assert result_bytes(resumed) == result_bytes(baseline)
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -274,6 +312,17 @@ class TestCheckpointValidation:
         with pytest.raises(ckpt.CheckpointError, match="format version"):
             ckpt.SimulationCheckpoint.load(path)
 
+    def test_version_1_file_refused(self, tmp_path):
+        """A version-1 file held the whole trace in its one payload."""
+        path = tmp_path / "v1.ckpt"
+        payload = {"version": 1, "engine": "analytic", "packets_done": 0,
+                   "config": {}, "state": {"sim": None}}
+        with open(path, "wb") as handle:
+            handle.write(ckpt.CHECKPOINT_MAGIC)
+            pickle.dump(payload, handle)
+        with pytest.raises(ckpt.CheckpointError, match="format version 1;"):
+            ckpt.SimulationCheckpoint.load(path)
+
     def test_engine_mismatch(self, tmp_path):
         path = self.make_checkpoint(tmp_path, engine="analytic")
         with pytest.raises(ckpt.CheckpointError, match="analytic"):
@@ -291,6 +340,104 @@ class TestCheckpointValidation:
             ckpt.CheckpointPolicy(every=10, path=None)
         with pytest.raises(ckpt.CheckpointError, match=">= 0"):
             ckpt.CheckpointPolicy(every=-1)
+
+
+# ----------------------------------------------------------------------
+# Snapshot format: state by value, inputs rebuilt and checked
+# ----------------------------------------------------------------------
+
+#: Classes of the run's inputs, which a state stream must never contain.
+INPUT_CLASSES = {
+    ("repro.mem.pagetable", "PageTable"),
+    ("repro.mem.pagetable", "PageTableNode"),
+    ("repro.mem.pagetable", "AddressSpace"),
+    ("repro.trace.workload", "TenantWorkload"),
+    ("repro.trace.workload", "HyperTenantSystem"),
+    ("repro.mem.walker", "TwoDimensionalWalker"),
+}
+
+
+class _InputRefusingUnpickler(pickle.Unpickler):
+    def __init__(self, handle, trace):
+        super().__init__(handle)
+        self._objects = ckpt.input_references(trace)
+
+    def find_class(self, module, name):
+        if (module, name) in INPUT_CLASSES:
+            raise pickle.UnpicklingError(f"state stream holds {module}.{name}")
+        return super().find_class(module, name)
+
+    def persistent_load(self, pid):
+        return self._objects[pid]
+
+
+def read_parts(path):
+    """``(header, state stream bytes)`` of a snapshot file."""
+    blob = path.read_bytes()
+    assert blob.startswith(ckpt.CHECKPOINT_MAGIC)
+    stream = io.BytesIO(blob[len(ckpt.CHECKPOINT_MAGIC):])
+    header = pickle.load(stream)
+    return header, stream.read()
+
+
+def write_parts(path, header, state):
+    path.write_bytes(
+        ckpt.CHECKPOINT_MAGIC + pickle.dumps(header, protocol=5) + state
+    )
+
+
+class TestSnapshotFormat:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_state_stream_holds_no_inputs(self, engine, tmp_path):
+        path = tmp_path / "state.ckpt"
+        ENGINES[engine](
+            hypertrio_config(), small_trace(), warmup_packets=100,
+            checkpoint_every=150, checkpoint_path=path,
+        )
+        header, state = read_parts(path)
+        assert header["version"] == 2 and header["inputs"]["packets"] is None
+        trace = header["inputs"]["recipe"].build()
+        roots = _InputRefusingUnpickler(io.BytesIO(state), trace).load()
+        assert sorted(roots) == ["loop", "router", "sim"]
+        assert roots["sim"].trace is trace
+        assert roots["router"]._packets is trace.packets
+
+    def test_service_state_stream_holds_no_inputs(self, tmp_path):
+        from repro.service.engine import ServiceEngine
+
+        engine = ServiceEngine(hypertrio_config(), small_trace())
+        engine.submit_batch(small_trace().packets[:300])
+        path = engine.save_checkpoint(tmp_path / "svc.ckpt")
+        header, state = read_parts(path)
+        trace = header["inputs"]["recipe"].build()
+        roots = _InputRefusingUnpickler(io.BytesIO(state), trace).load()
+        assert roots["service"].sim.trace is trace
+
+    def test_dropped_backing_refused_by_allocator_cursor(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        simulate(base_config(), small_trace(), warmup_packets=100,
+                 checkpoint_every=450, checkpoint_path=path)
+        header, state = read_parts(path)
+        backings = header["inputs"]["backings"]
+        assert backings
+        del backings[len(backings) // 2]
+        write_parts(path, header, state)
+        with pytest.raises(ckpt.CheckpointError, match="allocator cursor"):
+            ckpt.resume_simulation(path)
+
+    def test_changed_recipe_seed_refused_by_input_digest(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        simulate(base_config(), small_trace(interleaving="RAND1"),
+                 warmup_packets=100, checkpoint_every=450,
+                 checkpoint_path=path)
+        header, state = read_parts(path)
+        recipe = header["inputs"]["recipe"]
+        header["inputs"]["recipe"] = dataclasses.replace(
+            recipe, seed=recipe.seed + 1
+        )
+        write_parts(path, header, state)
+        with pytest.raises(ckpt.CheckpointError, match="input digest"):
+            ckpt.resume_simulation(path)
 
 
 # ----------------------------------------------------------------------

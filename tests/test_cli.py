@@ -213,30 +213,57 @@ class TestCommands:
 
 
 class TestSimulateResume:
-    def test_resume_prints_the_uninterrupted_summary(self, capsys, tmp_path):
-        """A run resumed from its last snapshot (packet 3000 of 4000)
-        reports exactly what the checkpointing run itself reported."""
+    @pytest.fixture(autouse=True)
+    def _own_signal_handlers(self):
         # Checkpointing routes SIGTERM/SIGINT to its interrupt flag; give
         # the test process its own handlers back afterwards.
         saved = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        yield
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+
+    def test_resume_prints_the_uninterrupted_summary(self, capsys, tmp_path):
+        """A run resumed from its last snapshot (packet 3000 of 4000)
+        reports exactly what the checkpointing run itself reported."""
         directory = tmp_path / "ckpts"
-        try:
-            assert main([
-                "simulate", "--config", "base", "--tenants", "64",
-                "--packets", "4000", "--checkpoint-dir", str(directory),
-                "--checkpoint-every", "1500",
-            ]) == 0
-            straight = capsys.readouterr().out
-            (snapshot,) = directory.iterdir()
-            assert main([
-                "simulate", "--config", "base", "--resume-from", str(snapshot),
-            ]) == 0
-            resumed = capsys.readouterr().out
-        finally:
-            for signum, handler in saved.items():
-                signal.signal(signum, handler)
+        assert main([
+            "simulate", "--config", "base", "--tenants", "64",
+            "--packets", "4000", "--checkpoint-dir", str(directory),
+            "--checkpoint-every", "1500",
+        ]) == 0
+        straight = capsys.readouterr().out
+        (snapshot,) = directory.iterdir()
+        assert main([
+            "simulate", "--config", "base", "--resume-from", str(snapshot),
+        ]) == 0
+        resumed = capsys.readouterr().out
         assert "drops 3999," in straight
         assert resumed == straight
+
+    def test_trace_file_resume_prints_the_uninterrupted_summary(self, capsys, tmp_path):
+        """A --trace-file run's snapshot carries the swapped-in packets."""
+        from repro.sim.checkpoint import SimulationCheckpoint
+        from repro.trace.constructor import construct_trace
+        from repro.trace.records import write_trace
+        from repro.trace.tenant import profile_by_name
+
+        trace = construct_trace(
+            profile_by_name("mediastream"), num_tenants=8,
+            packets_per_tenant=200_000, interleaving="RAND1", max_packets=2000,
+        )
+        trace_file = tmp_path / "reversed.jsonl"
+        write_trace(trace_file, reversed(trace.packets))
+        directory = tmp_path / "ckpts"
+        assert main([
+            "simulate", "--tenants", "8", "--packets", "2000",
+            "--trace-file", str(trace_file), "--checkpoint-dir", str(directory),
+            "--checkpoint-every", "500",
+        ]) == 0
+        straight = capsys.readouterr().out
+        (snapshot,) = directory.iterdir()
+        assert not SimulationCheckpoint.load(snapshot).trace.packets_from_recipe
+        assert main(["simulate", "--resume-from", str(snapshot)]) == 0
+        assert capsys.readouterr().out == straight
 
 
 class TestObservabilityFlags:
