@@ -1,22 +1,12 @@
-"""Guard: disabled observability must cost (near) nothing.
+"""Guard: observability that is off must cost (near) nothing.
 
 The observability layer's contract (docs/OBSERVABILITY.md) is that a
-simulator constructed with ``Observability.disabled()`` — or with no
-bundle at all — has an identical hot path: the ``enabled`` flag is
-checked once at attach time and every per-request tracer/metrics/span/
-phase call is compiled out into ``None`` attribute loads.  This
-benchmark enforces the budget on both null shapes:
-
-* ``Observability.disabled()`` — the empty bundle;
-* a bundle carrying explicit ``NullSpanRecorder`` / ``NullPhaseProfiler``
-  instruments — the shape the service builds when span recording and
-  phase profiling are compiled out, which must normalise to the same
-  ``None`` fast path.
-
-Each must stay within ``BUDGET_FRACTION`` (3 %) of the un-instrumented
-baseline.  The *enabled* phase-profiling cost is also measured and
-reported (not gated — it buys the per-phase breakdown and is expected to
-cost real time).
+simulator constructed with an empty ``Observability()`` bundle — every
+layer ``None`` — has the same hot path as one with no bundle at all: the
+simulator reads the layers once at attach time and every per-request
+tracer/metrics call is guarded by an ``is not None`` test on an attribute
+that is ``None``.  This benchmark enforces the budget: the empty bundle
+must stay within ``BUDGET_FRACTION`` (3 %) of the run with no bundle.
 
 Runs standalone (CI calls it directly) or under pytest::
 
@@ -33,21 +23,16 @@ from __future__ import annotations
 import time
 
 from repro.core.config import base_config
-from repro.obs import NullPhaseProfiler, NullSpanRecorder, Observability
+from repro.obs import Observability
 from repro.sim.simulator import HyperSimulator
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import MEDIASTREAM
 
-#: Allowed slowdown of a disabled-observability run vs the baseline.
+#: Allowed slowdown of an empty-bundle run vs the run with no bundle.
 BUDGET_FRACTION = 0.03
 TRIALS = 5
 TENANTS = 32
 PACKETS = 6_000
-
-
-def _nulled_bundle() -> Observability:
-    """Explicit null span/phase instruments; must normalise to ``None``."""
-    return Observability(spans=NullSpanRecorder(), phases=NullPhaseProfiler())
 
 
 def _time_run(trace, observability) -> float:
@@ -59,18 +44,14 @@ def _time_run(trace, observability) -> float:
 
 
 def measure_overhead() -> dict:
-    """Min-of-N timings of every variant vs baseline; returns a report."""
+    """Min-of-N timings of the empty bundle vs no bundle; returns a report."""
     trace = construct_trace(
         MEDIASTREAM, num_tenants=TENANTS, packets_per_tenant=200_000,
         max_packets=PACKETS,
     )
     variants = {
         "baseline": lambda: None,
-        "disabled": Observability.disabled,
-        "nulled": _nulled_bundle,
-        "profiled": lambda: Observability.profiling(
-            spans=False, metrics=False
-        ),
+        "empty": Observability,
     }
     # Warm every path once (imports, allocator, trace-derived state).
     for factory in variants.values():
@@ -80,51 +61,35 @@ def measure_overhead() -> dict:
         for name, factory in variants.items():
             times[name].append(_time_run(trace, factory()))
     best = {name: min(samples) for name, samples in times.items()}
-    baseline = best["baseline"]
     return {
-        "baseline_s": baseline,
-        "disabled_s": best["disabled"],
-        "nulled_s": best["nulled"],
-        "profiled_s": best["profiled"],
-        "disabled_fraction": best["disabled"] / baseline - 1.0,
-        "nulled_fraction": best["nulled"] / baseline - 1.0,
-        "profiled_fraction": best["profiled"] / baseline - 1.0,
+        "baseline_s": best["baseline"],
+        "empty_s": best["empty"],
+        "empty_fraction": best["empty"] / best["baseline"] - 1.0,
         "budget_fraction": BUDGET_FRACTION,
     }
 
 
 def test_disabled_observability_within_budget():
     report = measure_overhead()
-    for variant in ("disabled", "nulled"):
-        assert report[f"{variant}_fraction"] < BUDGET_FRACTION, (
-            f"{variant} observability costs "
-            f"{report[f'{variant}_fraction'] * 100:.2f}% "
-            f"(budget {BUDGET_FRACTION * 100:.0f}%): "
-            f"baseline {report['baseline_s'] * 1e3:.1f} ms, "
-            f"{variant} {report[f'{variant}_s'] * 1e3:.1f} ms"
-        )
+    assert report["empty_fraction"] < BUDGET_FRACTION, (
+        f"an empty Observability() costs "
+        f"{report['empty_fraction'] * 100:.2f}% "
+        f"(budget {BUDGET_FRACTION * 100:.0f}%): "
+        f"baseline {report['baseline_s'] * 1e3:.1f} ms, "
+        f"empty {report['empty_s'] * 1e3:.1f} ms"
+    )
 
 
 def main() -> int:
     report = measure_overhead()
     print(
         f"baseline {report['baseline_s'] * 1e3:8.1f} ms  "
-        f"disabled {report['disabled_s'] * 1e3:8.1f} ms "
-        f"({report['disabled_fraction'] * 100:+6.2f}%)  "
-        f"nulled {report['nulled_s'] * 1e3:8.1f} ms "
-        f"({report['nulled_fraction'] * 100:+6.2f}%)  "
+        f"Observability() {report['empty_s'] * 1e3:8.1f} ms "
+        f"({report['empty_fraction'] * 100:+6.2f}%)  "
         f"budget {BUDGET_FRACTION * 100:.0f}%"
     )
-    print(
-        f"phase profiling enabled: {report['profiled_s'] * 1e3:8.1f} ms "
-        f"({report['profiled_fraction'] * 100:+6.2f}%, informational)"
-    )
-    failed = [
-        variant for variant in ("disabled", "nulled")
-        if report[f"{variant}_fraction"] >= BUDGET_FRACTION
-    ]
-    if failed:
-        print(f"FAIL: {', '.join(failed)} path exceeds the overhead budget")
+    if report["empty_fraction"] >= BUDGET_FRACTION:
+        print("FAIL: the empty bundle exceeds the overhead budget")
         return 1
     print("OK")
     return 0

@@ -12,7 +12,6 @@ Subcommands::
                           [--slo-rules slo.json --span-out spans.json]
     repro-sim top         --port 7411 [--interval 2 --format table]
     repro-sim top         --run-dir .repro-runs/figure10-default  # fleet view
-    repro-sim bench       [--root .]   # pinned matrix -> BENCH_<n>.json
     repro-sim experiment  figure10 [--scale default]
     repro-sim run         --experiment figure10 --jobs 4 [--resume RUN_ID]
     repro-sim run         --experiment figure10 --queue sweep.db  # distributed
@@ -972,24 +971,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return asyncio.run(_watch())
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned benchmark matrix -> BENCH_<n>.json."""
-    from repro.analysis.bench import run_bench
-
-    root = Path(args.root)
-    if not root.is_dir():
-        print(f"no such directory: {root}", file=sys.stderr)
-        return 2
-    _, _, lines = run_bench(
-        root,
-        analytic_packets=args.analytic_packets,
-        service_packets=args.service_packets,
-        output=Path(args.output) if args.output else None,
-    )
-    print("\n".join(lines))
-    return 0
-
-
 def _cmd_characterize(args: argparse.Namespace) -> int:
     profile = profile_by_name(args.benchmark)
     if args.regular:
@@ -1503,8 +1484,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--span-out", default=None, metavar="PATH",
         help="record wire-to-engine request spans and write them as a "
-             "Perfetto-loadable Chrome trace on shutdown (enables phase "
-             "profiling too; clients opt in per request via 'trace')",
+             "Perfetto-loadable Chrome trace on shutdown (clients opt in "
+             "per request via 'trace')",
     )
     serve.add_argument(
         "--max-frame-bytes", type=int, default=1 << 20, metavar="BYTES",
@@ -1589,31 +1570,6 @@ def build_parser() -> argparse.ArgumentParser:
              "counters, and live lease runway (combine with --run-dir)",
     )
     top.set_defaults(func=_cmd_top)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="pinned benchmark matrix -> BENCH_<n>.json (throughput "
-             "tracking)",
-    )
-    bench.add_argument(
-        "--root", default=".",
-        help="directory holding the BENCH_<n>.json series (default: .)",
-    )
-    bench.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="explicit output path (default: next BENCH_<n>.json in --root)",
-    )
-    bench.add_argument(
-        "--analytic-packets", type=int, default=6000,
-        help="packet budget applied uniformly to every analytic-engine "
-             "row — config comparison, profiled, runner, and "
-             "checkpointed (default: 6000)",
-    )
-    bench.add_argument(
-        "--service-packets", type=int, default=2500,
-        help="packet budget for the service replay row (default: 2500)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     characterize = subparsers.add_parser(
         "characterize", help="single-tenant Figure 8 analysis"

@@ -97,9 +97,7 @@ def attach_observability(path, observability) -> None:
     disabled bundle — or one without an eviction layer — attaches nothing,
     leaving every hot path untouched.
     """
-    if observability is None or not observability.enabled:
-        return
-    evictions = observability.evictions
+    evictions = observability.evictions if observability is not None else None
     if evictions is None:
         return
     for name, cache in path.named_caches():

@@ -143,11 +143,6 @@ class SimulationResult:
     device_results: List[DeviceResult] = field(default_factory=list)
     #: Shared-chipset aggregates; ``None`` for single-device runs.
     fabric: Optional[FabricStats] = None
-    #: Host-time cost attribution of the hot path's phases
-    #: (``lookup`` / ``walk`` / ``ptb`` — see :mod:`repro.obs.phases`),
-    #: filled only when a :class:`~repro.obs.phases.PhaseProfiler` was
-    #: attached; empty otherwise so serialisations stay byte-identical.
-    phase_profile: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def num_devices(self) -> int:
@@ -199,8 +194,4 @@ class SimulationResult:
                 f"{cause}={count}" for cause, count in sorted(injected.items())
             )
             line += f" [drops by cause: {detail}]"
-        if self.phase_profile:
-            from repro.obs.phases import format_phase_profile
-
-            line += f" [host phases: {format_phase_profile(self.phase_profile)}]"
         return line

@@ -8,8 +8,6 @@ The unified telemetry pipeline (see docs/OBSERVABILITY.md):
 * **request spans** (:mod:`repro.obs.spans`) — parented wire-to-engine
   intervals linking client, dispatcher, admission, and engine through
   the service protocol's ``trace`` field;
-* **phase profiling** (:mod:`repro.obs.phases`) — host-time cost
-  attribution of the hot path's lookup / walk / PTB segments;
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, log-bucketed
   latency histograms keyed by structure and SID, plus cross-tenant
   eviction attribution; rendered live as Prometheus text by
@@ -28,11 +26,11 @@ The simulator accepts an :class:`Observability` bundle::
     write_trace(obs.tracer.events, "run.trace.json")     # Perfetto
     write_metrics("run.metrics.json", obs, result)
 
-Cost when disabled is near zero: ``Observability.disabled()`` (or simply
-``observability=None``) leaves the hot path free of tracer, span, phase,
-and metrics calls — the simulator checks :attr:`Observability.enabled`
-once at attach time, and ``benchmarks/bench_obs_overhead.py`` guards the
-budget.
+Off means ``None``: a layer the bundle does not carry is ``None``, and
+``Observability()`` (or simply ``observability=None``) leaves the hot
+path free of tracer, span and metrics calls — the simulator resolves the
+layers once at attach time, and ``benchmarks/bench_obs_overhead.py``
+guards the budget.
 """
 
 from __future__ import annotations
@@ -62,22 +60,16 @@ from repro.obs.metrics import (
     bucket_midpoint,
     percentile_from_buckets,
 )
-from repro.obs.phases import NullPhaseProfiler, PhaseProfiler
-from repro.obs.spans import NullSpanRecorder, Span, SpanContext, SpanRecorder
-from repro.obs.tracer import NullTracer, RecordingTracer, TraceEvent, Tracer
+from repro.obs.spans import Span, SpanContext, SpanRecorder
+from repro.obs.tracer import RecordingTracer, TraceEvent
 
 __all__ = [
     "Observability",
-    "Tracer",
-    "NullTracer",
     "RecordingTracer",
     "TraceEvent",
     "Span",
     "SpanContext",
     "SpanRecorder",
-    "NullSpanRecorder",
-    "PhaseProfiler",
-    "NullPhaseProfiler",
     "MetricsRegistry",
     "LatencyHistogram",
     "Counter",
@@ -103,38 +95,22 @@ __all__ = [
 class Observability:
     """Bundle of the instruments a simulator or service can carry.
 
-    ``tracer`` is never ``None`` (a :class:`NullTracer` stands in);
-    ``metrics``, ``evictions``, ``spans``, and ``phases`` are ``None``
-    when their layer is off (a :class:`NullSpanRecorder` /
-    :class:`NullPhaseProfiler` counts as off — their ``enabled`` flags
-    are ``False``).  :attr:`enabled` is the single flag the simulator
-    checks at attach time — when it is ``False`` the hot path is
+    Each layer — ``tracer``, ``metrics``, ``evictions`` and ``spans`` — is
+    ``None`` when it is off.  With every layer off the hot path is
     identical to running with no observability at all.
     """
 
     def __init__(
         self,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[RecordingTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         evictions: Optional[EvictionAttribution] = None,
         spans: Optional[SpanRecorder] = None,
-        phases: Optional[PhaseProfiler] = None,
     ):
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
+        self.tracer = tracer
         self.metrics = metrics
         self.evictions = evictions
-        self.spans = spans if (spans is not None and spans.enabled) else None
-        self.phases = phases if (phases is not None and phases.enabled) else None
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer.enabled
-            or self.metrics is not None
-            or self.evictions is not None
-            or self.spans is not None
-            or self.phases is not None
-        )
+        self.spans = spans
 
     # ------------------------------------------------------------------
     @classmethod
@@ -144,7 +120,7 @@ class Observability:
         seed: int = 0,
         max_events: int = 2_000_000,
     ) -> "Observability":
-        """Event tracing, registry, and attribution (spans/phases off)."""
+        """Event tracing, registry, and attribution (spans off)."""
         return cls(
             tracer=RecordingTracer(
                 sample_rate=sample_rate, seed=seed, max_events=max_events
@@ -159,26 +135,20 @@ class Observability:
         return cls(metrics=MetricsRegistry(), evictions=EvictionAttribution())
 
     @classmethod
-    def profiling(
-        cls,
-        spans: bool = True,
-        phases: bool = True,
-        metrics: bool = True,
-    ) -> "Observability":
-        """The service-telemetry bundle: spans + phase profiling + metrics.
+    def profiling(cls, metrics: bool = True) -> "Observability":
+        """The service-telemetry bundle: spans + metrics.
 
         This is what ``repro-sim serve --span-out`` attaches: request
-        spans for the wire-to-engine tree, phase counters for the
-        per-stage breakdown, and the registry behind ``stats``/prom
-        export.  Event tracing stays off (spans subsume it here).
+        spans for the wire-to-engine tree and the registry behind
+        ``stats``/prom export.  Event tracing stays off (spans subsume it
+        here).
         """
         return cls(
             metrics=MetricsRegistry() if metrics else None,
-            spans=SpanRecorder() if spans else None,
-            phases=PhaseProfiler() if phases else None,
+            spans=SpanRecorder(),
         )
 
     @classmethod
     def disabled(cls) -> "Observability":
-        """The null bundle — attaching it must cost (near) nothing."""
+        """The empty bundle: every layer off, so attaching it costs (near) nothing."""
         return cls()

@@ -229,7 +229,7 @@ class SloWatcher:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.rules = list(rules)
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        self._tracer = tracer
         self._clock = clock
         self.breached: Dict[str, bool] = {rule.name: False for rule in self.rules}
         #: Wall time at which occupancy first held the watermark, per rule.

@@ -8,7 +8,7 @@ protocol propagates the linking identity as an optional ``trace`` field
 (:class:`SpanContext`), so a client-side span can parent the server-side
 tree::
 
-    wire.read -> {admission, dispatch -> engine.step -> {cache.lookup, walk, ptb}}
+    wire.read -> {admission, dispatch -> engine.step}
 
 Design constraints, matching the rest of the obs layer:
 
@@ -17,9 +17,9 @@ Design constraints, matching the rest of the obs layer:
   tree (tests pin this);
 * **injectable clock** — wall timestamps default to
   ``time.perf_counter_ns`` but tests drive a fake counter;
-* **null path** — :class:`NullSpanRecorder` has ``enabled = False``; the
-  server resolves the recorder once and a disabled recorder never
-  appears on the wire or in the dispatch path.
+* **off means no recorder** — a server without a :class:`SpanRecorder`
+  keeps ``spans = None``, and spans then never appear on the wire or in
+  the dispatch path.
 
 Export joins the existing Chrome/Perfetto path: see
 :func:`repro.obs.export.spans_to_chrome_events`.
@@ -97,8 +97,6 @@ class SpanRecorder:
     list without bound.
     """
 
-    enabled = True
-
     def __init__(
         self,
         clock: Callable[[], int] = time.perf_counter_ns,
@@ -149,39 +147,11 @@ class SpanRecorder:
         span.end_ns = self._clock()
         if attrs:
             span.attrs.update(attrs)
-        self._record(span)
-        return span
-
-    def add(
-        self,
-        name: str,
-        trace_id: str,
-        parent_id: Optional[str],
-        start_ns: int,
-        end_ns: int,
-        sid: int = -1,
-        **attrs: Any,
-    ) -> Span:
-        """Record a span with explicit timestamps (synthesized children,
-        e.g. the per-phase breakdown measured by the phase profiler)."""
-        span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=self.next_id(),
-            parent_id=parent_id,
-            sid=sid,
-            start_ns=start_ns,
-            end_ns=end_ns,
-            attrs=dict(attrs),
-        )
-        self._record(span)
-        return span
-
-    def _record(self, span: Span) -> None:
         if len(self.spans) >= self.max_spans:
             self.dropped_spans += 1
-            return
-        self.spans.append(span)
+        else:
+            self.spans.append(span)
+        return span
 
     # ------------------------------------------------------------------
     def by_trace(self) -> Dict[str, List[Span]]:
@@ -194,28 +164,3 @@ class SpanRecorder:
     def find(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]
 
-
-class NullSpanRecorder:
-    """Disabled recorder: the null object behind the spanless fast path."""
-
-    enabled = False
-    spans: List[Span] = []
-    dropped_spans = 0
-
-    def next_id(self) -> str:
-        return "s0"
-
-    def start(self, name: str, **kwargs: Any) -> Optional[Span]:
-        return None
-
-    def finish(self, span: Optional[Span], **attrs: Any) -> Optional[Span]:
-        return None
-
-    def add(self, *args: Any, **kwargs: Any) -> Optional[Span]:
-        return None
-
-    def by_trace(self) -> Dict[str, List[Span]]:
-        return {}
-
-    def find(self, name: str) -> List[Span]:
-        return []

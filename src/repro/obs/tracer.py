@@ -1,16 +1,16 @@
-"""Tracer protocol: per-request lifecycle event collection.
+"""Per-request lifecycle event collection.
 
-The simulator talks to a *tracer* through two methods only:
+The simulator talks to a tracer through two methods only:
 
-* :meth:`sample_packet` — called once per accepted packet; the returned
-  decision gates every event of that packet (whole request lifecycles are
-  either traced or skipped, never torn).
-* :meth:`emit` — record one :class:`TraceEvent`.
+* :meth:`RecordingTracer.sample_packet` — called once per accepted
+  packet; the returned decision gates every event of that packet (whole
+  request lifecycles are either traced or skipped, never torn).
+* :meth:`RecordingTracer.emit` — record one :class:`TraceEvent`.
 
-:class:`NullTracer` is the disabled fast path: its ``enabled`` flag is
-``False``, and the simulator checks that flag **once at attach time** —
-with tracing off, the per-request hot path contains no tracer calls at
-all (guarded by ``benchmarks/bench_obs_overhead.py``).
+Tracing off means no tracer: the simulator resolves the bundle's
+``tracer`` to ``None`` once at attach time, and the per-request hot path
+then contains no tracer calls at all (guarded by
+``benchmarks/bench_obs_overhead.py``).
 
 :class:`RecordingTracer` keeps events in memory for export via
 :mod:`repro.obs.export`.  Sampling is seeded and therefore deterministic:
@@ -21,7 +21,7 @@ same per-packet decisions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 
@@ -41,47 +41,7 @@ class TraceEvent:
     args: Optional[Dict[str, Any]] = None
 
 
-class Tracer:
-    """Interface both tracer implementations satisfy (duck-typed)."""
-
-    #: Checked once when a simulator attaches observability; ``False``
-    #: removes the tracer from the hot path entirely.
-    enabled: bool = True
-
-    def sample_packet(self) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def emit(
-        self,
-        kind: str,
-        ts_ns: float,
-        sid: int = -1,
-        dur_ns: float = 0.0,
-        **args: Any,
-    ) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class NullTracer(Tracer):
-    """No-op tracer: the null-object behind the disabled fast path."""
-
-    enabled = False
-
-    def sample_packet(self) -> bool:
-        return False
-
-    def emit(
-        self,
-        kind: str,
-        ts_ns: float,
-        sid: int = -1,
-        dur_ns: float = 0.0,
-        **args: Any,
-    ) -> None:
-        return None
-
-
-class RecordingTracer(Tracer):
+class RecordingTracer:
     """In-memory tracer with deterministic packet sampling.
 
     Parameters
@@ -96,8 +56,6 @@ class RecordingTracer(Tracer):
         Hard cap on retained events; excess emissions are counted in
         :attr:`dropped_events` instead of growing without bound.
     """
-
-    enabled = True
 
     def __init__(
         self,

@@ -391,18 +391,19 @@ class ExperimentRunner:
 
     @staticmethod
     def _shutdown(executor: ProcessPoolExecutor, kill: bool) -> None:
+        # Take the worker map first: shutdown() sets ``_processes`` to None.
+        processes = list((getattr(executor, "_processes", None) or {}).values())
         try:
             executor.shutdown(wait=not kill, cancel_futures=True)
         except Exception:  # pragma: no cover — best effort
             pass
         if kill:
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
+            for process in processes:
                 try:
                     process.terminate()
                 except Exception:  # pragma: no cover — already dead
                     pass
-            for process in list(processes.values()):
+            for process in processes:
                 try:
                     process.join(timeout=1.0)
                 except Exception:  # pragma: no cover

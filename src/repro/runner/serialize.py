@@ -50,8 +50,6 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
         document.pop("device_results", None)
     if document.get("fabric") is None:
         document.pop("fabric", None)
-    if not document.get("phase_profile"):
-        document.pop("phase_profile", None)
     return document
 
 
@@ -137,7 +135,6 @@ def result_from_dict(raw: Dict[str, Any]) -> SimulationResult:
         fabric=(
             FabricStats(**raw["fabric"]) if raw.get("fabric") is not None else None
         ),
-        phase_profile=raw.get("phase_profile") or {},
     )
 
 

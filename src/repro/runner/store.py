@@ -26,8 +26,7 @@ retries them.
 ``manifest.json`` records *how* the results were produced: git commit and
 dirty flag, python version, CPU count, the ``REPRO_BENCH_SCALE``
 environment variable, and accumulated wall clock across invocations — so
-result trajectories (and the BENCH_*.json history they feed) stay
-attributable to an environment.
+result trajectories stay attributable to an environment.
 """
 
 from __future__ import annotations

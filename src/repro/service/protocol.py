@@ -18,8 +18,8 @@ Requests::
 
 The optional ``trace`` field carries a client-side
 :class:`~repro.obs.spans.SpanContext` so the server-side span tree
-(``wire.read -> admission / dispatch -> engine.step -> phases``) parents
-under the caller's span.  It is *feature-negotiated softly*: servers
+(``wire.read -> admission / dispatch -> engine.step``) parents under
+the caller's span.  It is *feature-negotiated softly*: servers
 advertise ``"features": ["trace", ...]`` in ``hello_ok``, but an old
 server simply ignores the unknown field and an old client simply never
 sends it — both directions interoperate with no version bump.

@@ -64,7 +64,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.phases import PHASE_LOOKUP, PHASE_PTB, PHASE_WALK
 from repro.obs.prom import counter_line, gauge_line, registry_to_prom
 from repro.obs.slo import SloSample, SloWatcher
 from repro.service import protocol
@@ -81,12 +80,6 @@ SPAN_WIRE = "wire.read"
 SPAN_ADMISSION = "admission"
 SPAN_DISPATCH = "dispatch"
 SPAN_ENGINE = "engine.step"
-#: Phase-profiler segments surfaced as synthesized engine.step children.
-SPAN_PHASE_NAMES = (
-    (PHASE_LOOKUP, "cache.lookup"),
-    (PHASE_WALK, "walk"),
-    (PHASE_PTB, "ptb"),
-)
 
 
 @dataclass(frozen=True)
@@ -210,8 +203,8 @@ class ServiceServer:
     spans:
         Optional :class:`~repro.obs.spans.SpanRecorder`.  When attached,
         every translate grows a parented span tree (``wire.read`` ->
-        ``admission`` / ``dispatch`` -> ``engine.step`` -> phase
-        children), rooted under the client's wire-propagated
+        ``admission`` / ``dispatch`` -> ``engine.step``), rooted under
+        the client's wire-propagated
         :class:`~repro.obs.spans.SpanContext` when one was sent.
     slo_watcher:
         Optional :class:`~repro.obs.slo.SloWatcher`, evaluated against
@@ -246,9 +239,7 @@ class ServiceServer:
         self.port = port
         self.checkpoint_path = checkpoint_path
         self._clock = clock
-        #: Null-object resolution, like the simulator's: a disabled
-        #: recorder never reaches the dispatch path.
-        self.spans = spans if (spans is not None and spans.enabled) else None
+        self.spans = spans
         self.slo_watcher = slo_watcher
         self.slo_backpressure = slo_backpressure
         self._dispatched_since_slo = 0
@@ -512,14 +503,10 @@ class ServiceServer:
                     device_id, admission.config.low_watermark()
                 )
             step_span = None
-            phase_before = None
-            phases = engine.sim._phases
             if spans is not None:
                 step_span = spans.start(
                     SPAN_ENGINE, parent=dispatch_span, sid=packet.sid
                 )
-                if phases is not None:
-                    phase_before = phases.totals()
             try:
                 outcome = engine.submit(packet)
             except Exception as error:
@@ -536,10 +523,6 @@ class ServiceServer:
                 return conn
             if step_span is not None:
                 spans.finish(step_span, accepted=outcome.accepted)
-                if phase_before is not None:
-                    self._add_phase_spans(
-                        step_span, phase_before, phases.totals(), packet.sid
-                    )
                 dispatch_span.attrs["outcome"] = outcome.status
             admission.release(packet.sid)
             reply_with(outcome.to_wire(seq), is_result=True)
@@ -550,31 +533,6 @@ class ServiceServer:
                 spans.finish(dispatch_span)
             self._maybe_evaluate_slo()
             queue.task_done()
-
-    def _add_phase_spans(self, step_span, before, after, sid: int) -> None:
-        """Synthesize phase children under one finished ``engine.step``.
-
-        The phase profiler only keeps totals, so each phase's host-ns
-        delta across this submit is laid out sequentially from the step
-        span's start — durations are exact, intra-step interleaving is
-        not (the phases run once per translation, three per packet).
-        """
-        spans = self.spans
-        cursor = step_span.start_ns
-        for phase, name in SPAN_PHASE_NAMES:
-            delta = after.get(phase, 0) - before.get(phase, 0)
-            if delta <= 0:
-                continue
-            spans.add(
-                name,
-                step_span.trace_id,
-                step_span.span_id,
-                cursor,
-                cursor + delta,
-                sid=sid,
-                phase=phase,
-            )
-            cursor += delta
 
     # ------------------------------------------------------------------
     # Session exactly-once machinery
@@ -1162,11 +1120,7 @@ def build_server(
     ``slo.*`` events through the bundle's tracer; ``slo_backpressure``
     lets a breach drive admission backpressure.
     """
-    spans = (
-        getattr(observability, "spans", None)
-        if observability is not None
-        else None
-    )
+    spans = observability.spans if observability is not None else None
     watcher = None
     if slo_rules:
         tracer = observability.tracer if observability is not None else None

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.results import RequestLatencyStats
 from repro.device.packet import PacketStats
 from repro.obs import events as ev
-from repro.obs.phases import PHASE_LOOKUP, PHASE_PTB, PHASE_WALK
 
 
 class PacketRouter:
@@ -104,10 +103,6 @@ class DeviceEngine:
         #: Shared fault injector (``None`` without a fault plan — the hot
         #: path then pays a single attribute check, like the obs layer).
         self._injector = sim._injector
-        #: Shared phase profiler (``None`` unless the bundle carries one),
-        #: resolved once like the injector so the disabled hot path pays a
-        #: local ``is not None`` check per segment and nothing else.
-        self._phases = sim._phases
         # Tenant-wide chipset flushes must also drop this device's
         # in-flight prefetch installs, or a prefetch issued before the
         # unmap would re-install the stale translation afterwards.
@@ -386,15 +381,12 @@ class DeviceEngine:
         page = giova >> 12
         key = (sid, page)
         tracer = sim._tracer if self._trace_packet else None
-        phases = self._phases
 
         if sim._oracle is not None:
             sim._oracle.consume(key)
         if chipset.iova_history is not None:
             chipset.iova_history.record(sid, page)
 
-        if phases is not None:
-            phase_started = phases.begin()
         latency = timing.iotlb_hit_ns  # DevTLB lookup itself
         cached = device.devtlb.lookup(key)
         hit = cached is not None
@@ -426,12 +418,8 @@ class DeviceEngine:
                         ev.PREFETCH_SUPPLY, now, sid, page=page,
                         via="prefetch_buffer", **self._extra,
                     )
-        if phases is not None:
-            phases.end(PHASE_LOOKUP, phase_started)
         if not hit:
             # Miss: cross PCIe, translate at the shared chipset, cross back.
-            if phases is not None:
-                phase_started = phases.begin()
             injector = self._injector
             fault_latency = 0.0
             if injector is not None:
@@ -486,13 +474,7 @@ class DeviceEngine:
                 self._emit_chipset_events(
                     tracer, sid, page, at_chipset, start, served, outcome
                 )
-            if phases is not None:
-                phases.end(PHASE_WALK, phase_started)
-        if phases is not None:
-            phase_started = phases.begin()
         completion = device.ptb.issue(now, latency)
-        if phases is not None:
-            phases.end(PHASE_PTB, phase_started)
         sim.latency_stats.record(latency)
         self.latency_stats.record(latency)
         if tracer is not None:

@@ -71,11 +71,11 @@ class HyperSimulator:
         Model a non-virtualised host interface: no address translation at
         all (used by the Figure 5 case study's "host" series).
     observability:
-        Optional :class:`~repro.obs.Observability` bundle.  Its
-        ``enabled`` flag is checked **once here**: when disabled (or
-        ``None``) the per-request hot path contains no tracing or metrics
-        calls at all, so the overhead is a handful of attribute loads
-        (guarded by ``benchmarks/bench_obs_overhead.py``).
+        Optional :class:`~repro.obs.Observability` bundle.  Its layers
+        are read **once here**: a layer that is ``None`` (or no bundle at
+        all) puts no tracing or metrics calls on the per-request hot path,
+        so the overhead is a handful of attribute loads (guarded by
+        ``benchmarks/bench_obs_overhead.py``).
     """
 
     def __init__(
@@ -93,13 +93,11 @@ class HyperSimulator:
         self.telemetry = telemetry
         self.observability = observability
         self.fault_plan = fault_plan
-        # Null-object fast path: resolve the three observability layers to
-        # attribute-level Nones exactly once, at attach time.
-        obs_on = observability is not None and observability.enabled
-        tracer = observability.tracer if obs_on else None
-        self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        # Resolve the hot path's observability layers to attributes
+        # exactly once, at attach time; an off layer is ``None``.
+        obs_on = observability is not None
+        self._tracer = observability.tracer if obs_on else None
         self._metrics = observability.metrics if obs_on else None
-        self._phases = observability.phases if obs_on else None
         self._oracle: Optional[FutureOracle] = None
         next_use = None
         if config.devtlb.policy.lower() == "oracle":
@@ -127,7 +125,7 @@ class HyperSimulator:
         self.invalidation_messages = 0
         #: Seeded fault injector, or ``None`` (the common case) so the
         #: per-packet hot path pays one attribute check, mirroring the
-        #: observability null-object resolution above.
+        #: observability resolution above.
         self._injector = (
             FaultInjector(fault_plan, self.fabric.num_devices)
             if fault_plan is not None
@@ -436,9 +434,6 @@ class HyperSimulator:
             percentiles=percentiles,
             device_results=device_results,
             fabric=fabric_stats,
-            phase_profile=(
-                self._phases.snapshot() if self._phases is not None else {}
-            ),
         )
 
     def _device_result(

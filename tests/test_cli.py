@@ -121,10 +121,6 @@ class TestCommands:
         assert args.backpressure == "shed"
         assert args.rate is None and args.max_queue_depth is None
 
-    def test_bench_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.root == "." and args.output is None
-
     def test_simulate_verbose_prints_caches(self, capsys):
         main([
             "simulate", "--benchmark", "iperf3", "--tenants", "2",

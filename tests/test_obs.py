@@ -11,7 +11,6 @@ from repro.obs import (
     EvictionAttribution,
     LatencyHistogram,
     MetricsRegistry,
-    NullTracer,
     Observability,
     RecordingTracer,
     bucket_bounds,
@@ -98,12 +97,6 @@ class TestLatencyBuckets:
 # Tracer
 # ----------------------------------------------------------------------
 class TestTracer:
-    def test_null_tracer_is_disabled(self):
-        tracer = NullTracer()
-        assert tracer.enabled is False
-        assert tracer.sample_packet() is False
-        tracer.emit("devtlb.hit", 1.0)  # no-op, no error
-
     def test_sampling_deterministic_under_fixed_seed(self):
         a = RecordingTracer(sample_rate=0.3, seed=42)
         b = RecordingTracer(sample_rate=0.3, seed=42)

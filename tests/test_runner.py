@@ -1,6 +1,7 @@
 """Tests for the parallel experiment orchestrator (repro.runner)."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -253,6 +254,7 @@ class TestRetryAndTimeout:
             options=RunnerOptions(jobs=2, timeout_s=1.0, max_attempts=1),
             job_fn=runner_stubs.hang_job,
         )
+        before = set(multiprocessing.active_children())
         started = time.monotonic()
         results = runner.run(specs)
         elapsed = time.monotonic() - started
@@ -262,6 +264,14 @@ class TestRetryAndTimeout:
         assert by_seed[2].ok and by_seed[3].ok
         # Far below the 120s hang: the worker was killed, not awaited.
         assert elapsed < 30
+        # ...and no worker of this run outlives it: the hung one is
+        # terminated rather than left to finish its sleep.
+        deadline = time.monotonic() + 2.0
+        leftover = set(multiprocessing.active_children()) - before
+        while leftover and time.monotonic() < deadline:
+            time.sleep(0.05)
+            leftover = set(multiprocessing.active_children()) - before
+        assert not leftover
 
 
 # ----------------------------------------------------------------------
