@@ -7,8 +7,7 @@ reconnect storms, everything at once):
 
 1. run the trace offline (``simulate``) into a golden result;
 2. replay the same trace through a :class:`ChaosProxy` driving that
-   fault class between a sessioned ``ServiceClient`` and a live
-   ``ServiceServer``;
+   fault class between a ``ServiceClient`` and a live ``ServiceServer``;
 3. assert the flushed ``SimulationResult`` is **byte-identical** to the
    golden offline run, that the intended faults actually fired, that a
    reconnect-storm run breaches the ``conn_churn`` SLO rule, and that
@@ -16,8 +15,8 @@ reconnect storms, everything at once):
    connections, no dangling asyncio tasks);
 4. additionally pin that a *fault-free* plan is byte-transparent on the
    wire (per-direction SHA-256 of received vs forwarded bytes) for a
-   legacy session-less client, and that the ``conn.*`` counters surface
-   through the prom export.
+   client with no request deadline and no circuit breaker, and that the
+   ``conn.*`` counters surface through the prom export.
 
 Exits nonzero with a diagnostic on any deviation.  Run from the repo
 root: ``python scripts/service_chaos.py`` (CI runs the default matrix;
@@ -155,7 +154,7 @@ def canonical(result) -> str:
 async def run_one(fault_class, plan, golden_json, tenants, packets):
     """One chaos replay; returns a diagnostics dict or raises SystemExit."""
     context = f"[{fault_class} seed={plan.seed}]"
-    session = fault_class != "null"
+    hardened = fault_class != "null"
     engine = ServiceEngine(hypertrio_config(), make_trace(tenants, packets))
     watcher = SloWatcher(
         [SloRule(name="churn", kind="conn_churn", threshold=1.0)]
@@ -171,9 +170,8 @@ async def run_one(fault_class, plan, golden_json, tenants, packets):
     client = ServiceClient(
         "127.0.0.1",
         proxy.port,
-        session=session,
-        request_timeout=0.4 if session else None,
-        breaker=CircuitBreaker(failure_threshold=8) if session else None,
+        request_timeout=0.4 if hardened else None,
+        breaker=CircuitBreaker(failure_threshold=8) if hardened else None,
         rng=random.Random(plan.seed),
     )
     try:

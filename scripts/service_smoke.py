@@ -14,6 +14,13 @@ End to end, against real subprocesses over real TCP:
 6. flush and assert the service's final SimulationResult is
    byte-identical to the offline one through the exact serializer.
 
+It runs two such rounds, each with a fresh server, port and checkpoint.
+In the second, a *slow consumer* round, the client blocks for 3 ms on
+every outcome from the SIGTERM point on, so complete replies are still
+buffered, unread, when the old server closes the connection.  A client
+that resent those requests without the session cache would have them
+translated twice.
+
 Exits nonzero with a diagnostic on any deviation.  Run from the repo
 root: ``python scripts/service_smoke.py``.
 """
@@ -26,6 +33,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -42,6 +50,7 @@ BENCHMARK = "mediastream"
 TENANTS = 6
 PACKETS = 400
 KILL_AFTER = 150  # outcomes received before the mid-replay SIGTERM
+SLOW_CONSUMER_S = 0.003  # per-outcome block of the slow-consumer round
 
 
 def make_trace():
@@ -88,7 +97,9 @@ def start_server(port: int, checkpoint: Path, resume: bool) -> subprocess.Popen:
     return proc
 
 
-async def run_smoke(port: int, checkpoint: Path, offline) -> None:
+async def run_smoke(
+    port: int, checkpoint: Path, offline, slow_consumer: bool
+) -> None:
     proc = start_server(port, checkpoint, resume=False)
     trace = make_trace()
     client = ServiceClient("127.0.0.1", port, connect_timeout=60.0)
@@ -102,6 +113,10 @@ async def run_smoke(port: int, checkpoint: Path, offline) -> None:
         count += 1
         if count >= KILL_AFTER:
             received.set()
+            if slow_consumer:
+                # Blocks the event loop on purpose: replies pile up
+                # unread in the client's stream buffer.
+                time.sleep(SLOW_CONSUMER_S)
 
     replay = asyncio.ensure_future(
         client.replay(trace.packets, window=32, on_outcome=on_outcome)
@@ -155,8 +170,9 @@ async def run_smoke(port: int, checkpoint: Path, offline) -> None:
         result_to_dict(restored)
     ):
         raise SystemExit("service result not byte-identical through serializer")
+    label = "slow-consumer round" if slow_consumer else "service smoke"
     print(
-        f"service smoke OK: {PACKETS} packets, "
+        f"{label} OK: {PACKETS} packets, "
         f"{client.reconnects} reconnect(s), byte-identical result"
     )
 
@@ -166,8 +182,11 @@ def main() -> int:
         warmup_packets=0
     )
     with tempfile.TemporaryDirectory() as tmp:
-        checkpoint = Path(tmp) / "service.ckpt"
-        asyncio.run(run_smoke(free_port(), checkpoint, offline))
+        for slow_consumer in (False, True):
+            checkpoint = Path(tmp) / f"service-{int(slow_consumer)}.ckpt"
+            asyncio.run(
+                run_smoke(free_port(), checkpoint, offline, slow_consumer)
+            )
     return 0
 
 

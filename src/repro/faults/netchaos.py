@@ -18,7 +18,7 @@ that sits between client and server and injects them:
   fail — corruption always surfaces as a typed decode error, never as a
   silently altered request;
 * :class:`StallSpec` — hold one frame for ``delay_s`` before forwarding
-  (exercises request deadlines and late-reply draining);
+  (exercises request deadlines and the resends they force);
 * :class:`SplitSpec` — relay frames in tiny chunks (partial reads);
 * :class:`CoalesceSpec` — batch several frames into one write;
 * :class:`ReconnectStormSpec` — drop each of the first N connections,
@@ -33,11 +33,12 @@ bytes untouched — the proxy keeps per-direction SHA-256 digests of what
 it received and what it forwarded, and :meth:`ChaosProxy.transparent`
 pins that a fault-free plan leaves the wire byte-stream unchanged.
 
-The service survives every class losslessly because the server keeps
-per-session exactly-once, in-order semantics (see
-``docs/RESILIENCE.md``): the chaos parity suite replays a trace through
-the proxy under each fault class and asserts the final
-``SimulationResult`` is byte-identical to offline ``simulate``.
+The service survives every class losslessly because every client's
+``translate`` rides a session, for which the server keeps exactly-once,
+in-order semantics (see ``docs/RESILIENCE.md``): the chaos parity suite
+replays a trace through the proxy under each fault class and asserts
+the final ``SimulationResult`` is byte-identical to offline
+``simulate``.
 """
 
 from __future__ import annotations

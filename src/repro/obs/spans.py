@@ -3,7 +3,7 @@
 PR 2's tracer sees inside one simulation; since the service split a
 request's life across four layers (client wire -> dispatcher -> admission
 -> engine), end-to-end latency attribution needs *spans*: named,
-parented intervals forming one tree per request.  The repro-service/1
+parented intervals forming one tree per request.  The service's wire
 protocol propagates the linking identity as an optional ``trace`` field
 (:class:`SpanContext`), so a client-side span can parent the server-side
 tree::

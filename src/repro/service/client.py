@@ -2,33 +2,35 @@
 
 :class:`ServiceClient` speaks the JSON-lines protocol of
 :mod:`repro.service.server`.  Beyond single request/response calls
-(:meth:`translate`, :meth:`stats`, :meth:`flush`, :meth:`ping`) it
-provides the **load-generator mode** the experiments use:
-:meth:`replay` streams a trace's packets through a sliding send window,
-collects per-packet outcomes, and transparently survives a server warm
-restart — on a ``restarting`` notice or a dropped connection it
-reconnects (with bounded backoff) and resends every request the server
-never answered, so the caller gets one outcome per packet even when the
-server was SIGTERM'd and restarted from its checkpoint mid-stream.
+(:meth:`stats`, :meth:`flush`, :meth:`ping`) it provides the
+**load-generator mode** the experiments use: :meth:`replay` streams a
+trace's packets through a sliding send window, collects per-packet
+outcomes, and transparently survives a server warm restart — on a
+``restarting`` notice or a dropped connection it reconnects (with
+bounded backoff) and resends every request it holds no answer for, so
+the caller gets one outcome per packet even when the server was
+SIGTERM'd and restarted from its checkpoint mid-stream.
 
-Resend correctness leans on two service properties: results for queued
-requests are written before the old server closes (so every processed
-request is acked), and the warm-restart checkpoint is flushed *after*
-the queue drained (so the new server's engine is positioned exactly
-after the last acked packet).  The client therefore resends from the
-first unacknowledged sequence number and nothing is ever translated
-twice or skipped.
+Every client carries an **exactly-once session**: it draws a fresh id
+and sends it in each ``hello``.  The server keeps the session's answered
+seqs in an outcome cache, evicted only once the client's ``ack``
+watermark (its first seq without an answer) passes them, and the cache
+rides the warm-restart checkpoint.  A resent request whose original was
+already translated — its reply lost with the old connection, or still
+buffered behind a broken pipe — is therefore answered from the cache,
+and out-of-order arrivals are held until their turn.  So a resend never
+translates a packet twice, and the replayed result stays byte-identical
+to the offline run.
 
 **Hardening** (docs/RESILIENCE.md): ``connect`` retries the TCP connect
 *and* the ``hello`` exchange with full-jitter exponential backoff under
 a hard cap, reports its attempt count in the handshake metadata, and can
 sit behind a :class:`CircuitBreaker` (closed → open → half-open probe).
 ``replay`` takes a per-reply ``request_timeout`` so a stalled or
-half-dead connection is abandoned instead of hanging, and with
-``session=True`` the client carries a server-side exactly-once session:
-resends after chaos (corrupted frames, mid-frame cuts, reconnect storms)
-are deduplicated and re-ordered by the server, so the replayed result
-stays byte-identical to the offline run no matter what the wire did.
+half-dead connection is abandoned instead of hanging, and it treats an
+undecodable frame as a dead connection: the session makes the resend
+exact whatever the wire did (corrupted frames, mid-frame cuts,
+reconnect storms).
 
 The sync wrapper :func:`replay_trace` runs a whole replay under
 ``asyncio.run`` for CLI and test use.
@@ -40,7 +42,7 @@ import asyncio
 import random
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.service import protocol
 from repro.trace.records import PacketRecord
@@ -127,7 +129,6 @@ class ServiceClient:
         connect_timeout: float = 10.0,
         trace: bool = False,
         request_timeout: Optional[float] = None,
-        session: Union[bool, str] = False,
         breaker: Optional[CircuitBreaker] = None,
         backoff_base: float = 0.05,
         backoff_cap: float = 0.5,
@@ -146,12 +147,13 @@ class ServiceClient:
         #: Per-reply deadline in :meth:`replay`; ``None`` waits forever
         #: (the legacy behaviour — correct only on a fault-free wire).
         self.request_timeout = request_timeout
-        #: Exactly-once session id sent in ``hello``.  ``True`` draws a
-        #: fresh id; a string pins one (to resume across client objects).
-        #: ``False``/``None`` keeps the legacy session-less wire format.
-        self.session_id: Optional[str] = (
-            uuid.uuid4().hex if session is True else (session or None)
-        )
+        #: Exactly-once session id sent in every ``hello``.
+        self.session_id = uuid.uuid4().hex
+        #: Whether the last ``hello_ok`` echoed :attr:`session_id`.  A
+        #: peer that does not keep the session cannot dedupe a resend,
+        #: so :meth:`replay` then fails loudly on an undecodable frame
+        #: instead of resending.
+        self.session_kept = False
         #: Optional connect-attempt circuit breaker (shared across
         #: clients if the caller wants a per-endpoint breaker).
         self.breaker = breaker
@@ -199,11 +201,10 @@ class ServiceClient:
                     "type": protocol.HELLO,
                     "schema": protocol.PROTOCOL_SCHEMA,
                     "attempts": attempts,
+                    "session": self.session_id,
                 }
                 if self.sid is not None:
                     hello["sid"] = self.sid
-                if self.session_id is not None:
-                    hello["session"] = self.session_id
                 budget = max(0.05, deadline - time.monotonic())
                 reply = await asyncio.wait_for(self._request(hello), budget)
                 if reply.get("type") != protocol.HELLO_OK:
@@ -212,6 +213,7 @@ class ServiceClient:
                     raise ServiceClientError(f"handshake failed: {reply}")
                 if self.breaker is not None:
                     self.breaker.record_success()
+                self.session_kept = reply.get("session") == self.session_id
                 return reply
             except (
                 ConnectionError,
@@ -274,35 +276,24 @@ class ServiceClient:
     # Single requests
     # ------------------------------------------------------------------
     def _translate_message(
-        self,
-        packet: PacketRecord,
-        seq: int,
-        sid: Optional[int],
-        ack: Optional[int] = None,
+        self, packet: PacketRecord, seq: int, ack: int
     ) -> Dict[str, Any]:
         message: Dict[str, Any] = {
             "type": protocol.TRANSLATE,
             "seq": seq,
             "giovas": list(packet.giovas),
             "size": packet.size_bytes,
+            # Ack watermark: every seq below it has an outcome, so the
+            # server can evict those entries from the session cache.
+            "ack": ack,
         }
         if packet.invalidations:
             message["inv"] = list(packet.invalidations)
-        if sid is None:
+        if self.sid is None:
             message["sid"] = packet.sid
         if self.trace:
             message["trace"] = {"trace_id": f"t{seq:x}", "span_id": f"c{seq:x}"}
-        if self.session_id is not None and ack is not None:
-            # Ack watermark: every seq below it has an outcome, so the
-            # server can evict those entries from the session cache.
-            message["ack"] = ack
         return message
-
-    async def translate(self, packet: PacketRecord, seq: int = 0) -> Dict[str, Any]:
-        """Submit one packet and await its ``result`` (or typed error)."""
-        return await self._request(
-            self._translate_message(packet, seq, self.sid)
-        )
 
     async def stats(self, fmt: Optional[str] = None) -> Dict[str, Any]:
         """Live server stats; ``fmt="prom"`` asks for Prometheus text."""
@@ -317,14 +308,13 @@ class ServiceClient:
     async def flush(self) -> Dict[str, Any]:
         """End the modeled stream; returns the server's final result.
 
-        With a session, flush is retried over a reconnect on transport
-        failures (it is idempotent on the server: the engine state it
-        reads is unchanged by asking twice); session-less clients keep
-        the legacy raise-on-first-failure behaviour.  Stale duplicate
-        ``result`` frames still in flight from chaos resends are skipped
-        while waiting for the ``flush_ok``.
+        Retried over a reconnect on transport failures: flush is
+        idempotent on the server (the engine state it reads is unchanged
+        by asking twice).  Stale duplicate ``result`` frames still in
+        flight from chaos resends are skipped while waiting for the
+        ``flush_ok``.
         """
-        attempts = 3 if self.session_id is not None else 1
+        attempts = 3
         for attempt in range(attempts):
             try:
                 reply = await self._request({"type": protocol.FLUSH})
@@ -360,11 +350,12 @@ class ServiceClient:
         reply lands.
 
         With ``request_timeout`` set, a reply that fails to land within
-        the deadline is treated as a dead connection (drain, reconnect,
-        resend).  With a session, an undecodable frame is likewise a
-        reconnect (the server's session cache makes the resend exact);
-        without one it stays a loud failure, because a silent resend
-        could translate the packet twice.
+        the deadline is treated as a dead connection (reconnect, resend).
+        An undecodable frame is likewise a reconnect, because the
+        server's session cache makes the resend exact.  Against a peer
+        whose ``hello_ok`` did not echo the session it stays a loud
+        :class:`~repro.service.protocol.ProtocolError`: nothing there
+        would stop a resend from translating the packet twice.
         """
         total = len(packets)
         outcomes: List[Optional[Dict[str, Any]]] = [None] * total
@@ -398,37 +389,6 @@ class ServiceClient:
                 on_outcome(seq, reply)
             return True
 
-        async def drain_pending_replies() -> None:
-            """Consume buffered replies up to EOF before reconnecting.
-
-            A graceful server writes every queued result *before* closing
-            the connection; a failed send must not discard those — every
-            reply lost here would be resent and translated twice.
-            """
-            if self._reader is None:
-                return
-            drain_timeout = (
-                self.request_timeout if self.request_timeout is not None else 5.0
-            )
-            try:
-                while True:
-                    line = await asyncio.wait_for(
-                        self._reader.readline(), timeout=drain_timeout
-                    )
-                    if not line:
-                        return
-                    try:
-                        apply(protocol.decode(line))
-                    except protocol.ProtocolError:
-                        continue
-            except (
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                asyncio.TimeoutError,
-                OSError,
-            ):
-                return
-
         async def recv_reply() -> Dict[str, Any]:
             """One reply under the request deadline and frame hygiene."""
             try:
@@ -443,11 +403,7 @@ class ServiceClient:
                     "request deadline exceeded"
                 ) from None
             except protocol.ProtocolError:
-                if self.session_id is None:
-                    # Without a session a corrupt frame is unrecoverable:
-                    # the reply it carried is lost, and a blind resend
-                    # would translate that packet twice.  Fail loudly
-                    # rather than silently diverge from the offline run.
+                if not self.session_kept:
                     raise
                 raise ConnectionResetError("corrupt frame on wire") from None
 
@@ -459,13 +415,10 @@ class ServiceClient:
                 while acked < total:
                     while sent < total and sent - acked < window:
                         if outcomes[sent] is None:
-                            # Never resend an answered seq after a
-                            # reconnect: the engine would translate it
-                            # twice.
                             sent_at[sent] = time.monotonic()
                             await self._send(
                                 self._translate_message(
-                                    packets[sent], sent, self.sid, ack=acked
+                                    packets[sent], sent, acked
                                 )
                             )
                         sent += 1
@@ -476,11 +429,6 @@ class ServiceClient:
                         while acked < total and outcomes[acked] is not None:
                             acked += 1
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                await drain_pending_replies()
-                while acked < total and outcomes[acked] is not None:
-                    acked += 1
-                if acked >= total:
-                    break
                 await self._reconnect()
         return [reply for reply in outcomes if reply is not None]
 
@@ -494,7 +442,6 @@ def replay_trace(
     flush: bool = False,
     connect_timeout: float = 10.0,
     trace: bool = False,
-    session: Union[bool, str] = False,
     request_timeout: Optional[float] = None,
     breaker: Optional[CircuitBreaker] = None,
 ):
@@ -503,9 +450,8 @@ def replay_trace(
     Returns ``(outcomes, flush_reply_or_None, client)`` — the client is
     returned for its RTT samples and reconnect count.  ``trace=True``
     propagates per-request span identity (see :class:`ServiceClient`).
-    ``session``/``request_timeout``/``breaker`` opt into the hardened
-    exactly-once mode (chaos replays); the defaults keep the legacy wire
-    format byte-for-byte.
+    ``request_timeout``/``breaker`` opt into the client hardening that
+    chaos replays use.
     """
 
     async def _run():
@@ -515,7 +461,6 @@ def replay_trace(
             sid=sid,
             connect_timeout=connect_timeout,
             trace=trace,
-            session=session,
             request_timeout=request_timeout,
             breaker=breaker,
         )

@@ -8,9 +8,10 @@ admission and transport, the *engine* owns every simulated outcome.
 
 Requests::
 
-    {"type": "hello", "schema": "repro-service/1", "sid": 3}
-    {"type": "translate", "seq": 0, "giovas": [a, b, c], "size": 1542,
-     "inv": [page, ...], "sid": 5,
+    {"type": "hello", "schema": "repro-service/2", "session": "9f2c...",
+     "sid": 3, "attempts": 1}
+    {"type": "translate", "seq": 0, "ack": 0, "giovas": [a, b, c],
+     "size": 1542, "inv": [page, ...], "sid": 5,
      "trace": {"trace_id": "t1", "span_id": "c0"}}
     {"type": "stats"}            # or {"type": "stats", "format": "prom"}
     {"type": "flush"}
@@ -24,15 +25,17 @@ advertise ``"features": ["trace", ...]`` in ``hello_ok``, but an old
 server simply ignores the unknown field and an old client simply never
 sends it — both directions interoperate with no version bump.
 
-``hello`` optionally carries a ``session`` identity plus the client's
-connect ``attempts`` count: a sessioned server keeps per-session
-exactly-once, in-order dispatch state (an outcome cache for answered
-seqs, a bounded hold buffer for out-of-order arrivals), so a client that
-reconnects after wire chaos can resend unanswered seqs without ever
-causing a double or out-of-trace-order translation.  ``translate``
-carries the optional ``ack`` watermark (first unacknowledged seq) that
-evicts the server's outcome cache.  Both ride the soft feature
-negotiation above: old peers ignore the fields.
+``translate`` requires a **session**: the ``hello`` on that connection
+must name one (the client's connect ``attempts`` count rides along).
+The server keeps per-session exactly-once, in-order dispatch state (an
+outcome cache for answered seqs, a bounded hold buffer for out-of-order
+arrivals), so a client that reconnects after a warm restart or wire
+chaos can resend unanswered seqs without ever causing a double or
+out-of-trace-order translation.  ``translate`` carries the ``ack``
+watermark (first unanswered seq) that evicts the outcome cache.  A
+``translate`` on a connection whose ``hello`` named no session is
+answered ``not_bound`` and never reaches the engine; such a connection
+may still send ``stats``, ``ping`` and ``flush``.
 
 ``hello`` binds the connection to one tenant (its SID); every subsequent
 ``translate`` is accounted to that tenant.  A ``hello`` without a SID
@@ -48,7 +51,8 @@ Responses mirror requests: ``hello_ok``, ``result`` (one per
 than fail.
 
 Everything on the wire carries the schema tag :data:`PROTOCOL_SCHEMA`;
-incompatible future revisions bump the suffix.
+incompatible revisions bump the suffix (``/2``: ``translate`` needs a
+session).
 """
 
 from __future__ import annotations
@@ -62,13 +66,15 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.obs.spans import SpanContext
 
 #: Protocol schema tag; sent in ``hello`` both ways and in ``stats``.
-PROTOCOL_SCHEMA = "repro-service/1"
+PROTOCOL_SCHEMA = "repro-service/2"
 
 #: Optional capabilities this revision understands, advertised in
 #: ``hello_ok``.  Additions here never bump the schema: every feature
-#: rides an optional field old peers ignore.  ``session`` = per-session
-#: exactly-once resend semantics (``hello.session`` / ``translate.ack``);
-#: ``conn_supervision`` = bounded frames and typed supervision errors.
+#: rides an optional field old peers ignore, except ``session``, which
+#: ``translate`` requires since ``repro-service/2``.  ``session`` =
+#: per-session exactly-once resend semantics (``hello.session`` /
+#: ``translate.ack``); ``conn_supervision`` = bounded frames and typed
+#: supervision errors.
 PROTOCOL_FEATURES = ("trace", "prom_stats", "session", "conn_supervision")
 
 #: Default per-frame byte bound: no legitimate protocol line comes close
@@ -101,7 +107,8 @@ RESTARTING = "restarting"
 # Typed error codes -----------------------------------------------------
 #: Malformed JSON, missing fields, or a bad field type.
 E_BAD_REQUEST = "bad_request"
-#: ``translate`` before a successful ``hello``.
+#: ``translate`` on a connection whose ``hello`` named no session (or
+#: that sent no ``hello`` at all).
 E_NOT_BOUND = "not_bound"
 #: The SID is not a tenant of the system the service was started with.
 E_UNKNOWN_SID = "unknown_sid"

@@ -20,11 +20,6 @@ slot is still consumed — the paper's PTB-overflow drop at the service
 layer) or the device's virtual clock is **paused** to the PTB drain
 time before admission.
 
-Requests queued by a client that disconnects mid-stream are discarded at
-dispatch: their admission slots are released and the engine never sees
-them, so a dying client leaks no engine state (pinned by
-``tests/test_service_admission.py``).
-
 **Connection supervision** (:class:`ConnectionPolicy`, see
 docs/RESILIENCE.md): frames are read through the bounded
 :class:`~repro.service.protocol.FrameReader` (max frame length, idle
@@ -34,17 +29,22 @@ buffer to cross the cap is *evicted* — it gets a retryable typed
 ``slow_peer`` notice and its socket is aborted after a short grace, so
 the dispatcher never blocks on one bad socket.
 
-**Sessions** (the exactly-once layer wire chaos leans on): a ``hello``
-carrying a ``session`` id attaches the connection to per-session
-dispatch state — ``next_seq`` sequencing with a bounded hold buffer for
-out-of-order arrivals, an outcome cache for answered seqs (evicted by
-the client's ``ack`` watermark), and duplicate-waiter delivery.  A
-sessioned request is therefore translated exactly once and exactly in
-trace order no matter how often the client disconnects and resends,
-which is what keeps the replayed ``SimulationResult`` byte-identical to
-offline ``simulate`` under every :class:`~repro.faults.netchaos.
-NetworkFaultPlan` fault class.  Session-*less* connections keep the
-discard-on-dead-client behaviour above.  Session state (minus live
+**Sessions** (the one delivery guarantee): every ``translate`` rides a
+session that the connection's ``hello`` named; a connection without
+one is answered ``not_bound`` and its requests never reach the engine.
+A session is per-client dispatch state — ``next_seq`` sequencing with a
+bounded hold buffer for out-of-order arrivals, an outcome cache for
+answered seqs (evicted by the client's ``ack`` watermark), and
+duplicate-waiter delivery.  A request is therefore translated exactly
+once and exactly in trace order no matter how often the client
+disconnects and resends, which is what keeps the replayed
+``SimulationResult`` byte-identical to offline ``simulate`` across warm
+restarts and under every :class:`~repro.faults.netchaos.
+NetworkFaultPlan` fault class.  Requests queued by a client that
+disconnects mid-stream are still translated: their replies land in the
+session cache, so the client's resend is answered from there, and the
+admission slots are released as usual (pinned by
+``tests/test_service_admission.py``).  Session state (minus live
 connection references) rides the warm-restart checkpoint.
 
 Graceful shutdown (SIGTERM/SIGINT or :meth:`ServiceServer.shutdown`)
@@ -387,49 +387,37 @@ class ServiceServer:
                     stop = True
                     break
                 batch.append(extra)
-            touched: Dict[int, _Connection] = {}
             if (
                 len(batch) > 1
                 and self.spans is None
                 and admission.config.ptb_high_watermark is None
                 and not admission.slo_latched
                 and engine._flushed is None
-                and all(
-                    not it[0].closed and engine.knows_sid(it[2].sid)
-                    for it in batch
-                )
+                and all(engine.knows_sid(it[2].sid) for it in batch)
             ):
                 # Whole-batch translate: no per-packet server-side branch
-                # can fire (no spans, no backpressure gate, every client
-                # alive, every SID known), so the engine runs the batch
-                # in one call with identical per-packet outcomes.
+                # can fire (no spans, no backpressure gate, every SID
+                # known), so the engine runs the batch in one call with
+                # identical per-packet outcomes.
                 outcomes = engine.submit_batch([it[2] for it in batch])
                 self.batched_requests += len(outcomes)
                 for (conn, seq, packet, _), outcome in zip(batch, outcomes):
                     try:
                         admission.release(packet.sid)
-                        reply = outcome.to_wire(seq)
-                        if conn.session is not None:
-                            self._record_session_reply(
-                                conn.session, conn, seq, reply
-                            )
-                        else:
-                            conn.send(reply)
-                            self.results_sent += 1
-                        touched[id(conn)] = conn
+                        self._record_session_reply(
+                            conn, seq, outcome.to_wire(seq)
+                        )
                     finally:
                         conn.inflight -= 1
                         self._maybe_evaluate_slo()
                         queue.task_done()
             else:
                 for it in batch:
-                    conn = self._dispatch_one(it)
-                    if conn is not None:
-                        touched[id(conn)] = conn
+                    self._dispatch_one(it)
             # The dispatcher never awaits any one peer's drain — a peer
             # that stops reading is evicted once its write buffer
             # crosses the cap, instead of wedging every other client.
-            for conn in touched.values():
+            for conn in dict.fromkeys(it[0] for it in batch):
                 if (
                     not conn.closed
                     and conn.buffer_size() > self.policy.max_write_buffer
@@ -442,44 +430,23 @@ class ServiceServer:
                 queue.task_done()
                 return
 
-    def _dispatch_one(self, item) -> Optional[_Connection]:
+    def _dispatch_one(self, item) -> None:
         """Translate one queued request (the strict per-packet path).
 
-        Returns the connection a reply was written to, or ``None`` when
-        the request was discarded; the caller drains writers per pass.
+        Every final answer goes through the session cache; the caller
+        drains writers per pass.
         """
         engine = self.engine
         admission = self.admission
         queue = self._queue
         spans = self.spans
         conn, seq, packet, wire_span = item
-        session = conn.session
         dispatch_span = None
         if spans is not None:
             dispatch_span = spans.start(
                 SPAN_DISPATCH, parent=wire_span, sid=packet.sid, seq=seq
             )
-
-        def reply_with(reply: Dict[str, Any], is_result: bool) -> None:
-            """Deliver one final answer: session-cached or plain send."""
-            if session is not None:
-                self._record_session_reply(session, conn, seq, reply)
-            else:
-                conn.send(reply)
-                if is_result:
-                    self.results_sent += 1
-
         try:
-            if conn.closed and session is None:
-                # Client died with this request still queued: discard
-                # it before the engine sees it — no engine-state leak.
-                # A *sessioned* request is translated anyway: the client
-                # is reconnecting and will resend this seq, and skipping
-                # it here would break the session's in-order guarantee.
-                admission.release(packet.sid)
-                if dispatch_span is not None:
-                    dispatch_span.attrs["outcome"] = "discarded"
-                return None
             device_id = engine.device_for_sid(packet.sid)
             occupancy = engine.ptb_occupancy(device_id)
             if admission.check_backpressure(device_id, occupancy):
@@ -487,18 +454,19 @@ class ServiceServer:
                     engine.shed_slot(packet)
                     admission.record_shed(packet.sid)
                     admission.release(packet.sid)
-                    reply_with(
+                    self._record_session_reply(
+                        conn,
+                        seq,
                         protocol.error_reply(
                             protocol.E_BACKPRESSURE,
                             f"PTB occupancy {occupancy} at high watermark; "
                             f"request shed",
                             seq=seq,
                         ),
-                        is_result=False,
                     )
                     if dispatch_span is not None:
                         dispatch_span.attrs["outcome"] = "shed"
-                    return conn
+                    return
                 engine.stall_until_drained(
                     device_id, admission.config.low_watermark()
                 )
@@ -511,22 +479,22 @@ class ServiceServer:
                 outcome = engine.submit(packet)
             except Exception as error:
                 admission.release(packet.sid)
-                reply_with(
+                self._record_session_reply(
+                    conn,
+                    seq,
                     protocol.error_reply(
                         protocol.E_TRANSLATION, str(error), seq=seq
                     ),
-                    is_result=False,
                 )
                 if step_span is not None:
                     spans.finish(step_span, error=str(error))
                     dispatch_span.attrs["outcome"] = "error"
-                return conn
+                return
             if step_span is not None:
                 spans.finish(step_span, accepted=outcome.accepted)
                 dispatch_span.attrs["outcome"] = outcome.status
             admission.release(packet.sid)
-            reply_with(outcome.to_wire(seq), is_result=True)
-            return conn
+            self._record_session_reply(conn, seq, outcome.to_wire(seq))
         finally:
             conn.inflight -= 1
             if dispatch_span is not None:
@@ -538,11 +506,7 @@ class ServiceServer:
     # Session exactly-once machinery
     # ------------------------------------------------------------------
     def _record_session_reply(
-        self,
-        session: _Session,
-        conn: _Connection,
-        seq: int,
-        reply: Dict[str, Any],
+        self, conn: _Connection, seq: int, reply: Dict[str, Any]
     ) -> None:
         """Cache one final answer and deliver it to whoever still listens.
 
@@ -553,6 +517,7 @@ class ServiceServer:
         queued — the reply reaches the new connection even though the
         original died.
         """
+        session = conn.session
         session.cache[seq] = reply
         waiter = session.waiters.pop(seq, None)
         delivered = False
@@ -569,40 +534,38 @@ class ServiceServer:
         self,
         conn: _Connection,
         seq: int,
-        sid: int,
         packet: PacketRecord,
         wire_span,
-        session: Optional[_Session],
         finish_wire: bool = True,
     ) -> None:
-        """Run admission for one in-order request and queue or refuse it.
+        """Run admission for the session's in-order head and queue or refuse it.
 
-        For sessioned requests every final answer — including an
-        admission denial — advances ``next_seq`` and lands in the
-        outcome cache, so held successors can flush and a resend of the
-        denied seq gets the identical denial.
+        Every final answer — including an unknown-SID refusal or an
+        admission denial — advances ``next_seq`` and lands in the outcome
+        cache, so held successors can flush and a resend of the refused
+        seq gets the identical refusal.
         """
         spans = self.spans
-        if spans is not None:
-            admission_span = spans.start(SPAN_ADMISSION, parent=wire_span)
-            denied = self.admission.acquire(sid, self._clock())
-            spans.finish(admission_span, verdict=denied or "admitted")
+        sid = packet.sid
+        conn.session.next_seq = seq + 1
+        if not self.engine.knows_sid(sid):
+            denied = protocol.E_UNKNOWN_SID
+            message = f"sid {sid} is not a tenant of this service"
         else:
-            denied = self.admission.acquire(sid, self._clock())
-        if denied is not None:
-            reply = protocol.error_reply(
-                denied, f"admission denied for sid {sid}", seq=seq
-            )
-            if session is not None:
-                session.next_seq = max(session.next_seq, seq + 1)
-                self._record_session_reply(session, conn, seq, reply)
+            if spans is not None:
+                admission_span = spans.start(SPAN_ADMISSION, parent=wire_span)
+                denied = self.admission.acquire(sid, self._clock())
+                spans.finish(admission_span, verdict=denied or "admitted")
             else:
-                conn.send(reply)
+                denied = self.admission.acquire(sid, self._clock())
+            message = f"admission denied for sid {sid}"
+        if denied is not None:
+            self._record_session_reply(
+                conn, seq, protocol.error_reply(denied, message, seq=seq)
+            )
             if finish_wire and wire_span is not None:
                 spans.finish(wire_span, refused=denied)
             return
-        if session is not None:
-            session.next_seq = max(session.next_seq, seq + 1)
         if finish_wire and wire_span is not None:
             # wire.read covers parse + admission; the dispatcher's spans
             # parent under it by id, so finishing before enqueue is safe.
@@ -613,17 +576,9 @@ class ServiceServer:
     def _flush_held(self, session: _Session) -> None:
         """Release held out-of-order seqs that became the in-order head."""
         while session.next_seq in session.held:
-            held_conn, sid, packet, wire_span = session.held.pop(
-                session.next_seq
-            )
+            held_conn, packet, wire_span = session.held.pop(session.next_seq)
             self._admit_and_enqueue(
-                held_conn,
-                session.next_seq,
-                sid,
-                packet,
-                wire_span,
-                session,
-                finish_wire=False,
+                held_conn, session.next_seq, packet, wire_span, finish_wire=False
             )
 
     def _evict_slow_peer(self, conn: _Connection) -> None:
@@ -857,6 +812,17 @@ class ServiceServer:
             conn.closed = True
 
     def _handle_translate(self, conn: _Connection, message: Dict[str, Any]) -> None:
+        session = conn.session
+        if session is None:
+            # Without a session a resend could translate a packet twice.
+            conn.send(
+                protocol.error_reply(
+                    protocol.E_NOT_BOUND,
+                    "translate needs a session: send 'session' in hello",
+                    seq=message.get("seq"),
+                )
+            )
+            return
         try:
             seq, sid, giovas, size, inv, trace_ctx = protocol.parse_translate(
                 message, conn.bound_sid
@@ -892,68 +858,55 @@ class ServiceServer:
             if wire_span is not None:
                 spans.finish(wire_span, refused=protocol.E_RESTARTING)
             return
-        if not self.engine.knows_sid(sid):
-            conn.send(
-                protocol.error_reply(
-                    protocol.E_UNKNOWN_SID,
-                    f"sid {sid} is not a tenant of this service",
-                    seq=seq,
-                )
-            )
+        ack = message.get("ack")
+        if isinstance(ack, int) and ack > session.acked:
+            # The client's contiguous-answered watermark: everything
+            # below it will never be resent, so the cache lets go.
+            for answered in [s for s in session.cache if s < ack]:
+                del session.cache[answered]
+            session.acked = ack
+        if seq < session.next_seq:
+            cached = session.cache.get(seq)
+            if cached is not None:
+                self.conn_counters["resends_served"] += 1
+                conn.send(cached)
+                if cached.get("type") == protocol.RESULT:
+                    self.results_sent += 1
+            elif seq >= session.acked:
+                # Original still queued (its connection may be dead):
+                # deliver its reply here when it lands.
+                session.waiters[seq] = conn
             if wire_span is not None:
-                spans.finish(wire_span, refused=protocol.E_UNKNOWN_SID)
+                spans.finish(wire_span, resend=True)
             return
         packet = PacketRecord(
             sid=sid, giovas=giovas, size_bytes=size, invalidations=inv
         )
-        session = conn.session
-        if session is not None:
-            ack = message.get("ack")
-            if isinstance(ack, int) and ack > session.acked:
-                # The client's contiguous-answered watermark: everything
-                # below it will never be resent, so the cache lets go.
-                for answered in [s for s in session.cache if s < ack]:
-                    del session.cache[answered]
-                session.acked = ack
-            if seq < session.next_seq:
-                cached = session.cache.get(seq)
-                if cached is not None:
-                    self.conn_counters["resends_served"] += 1
-                    conn.send(cached)
-                    if cached.get("type") == protocol.RESULT:
-                        self.results_sent += 1
-                elif seq >= session.acked:
-                    # Original still queued (its connection may be dead):
-                    # deliver its reply here when it lands.
-                    session.waiters[seq] = conn
-                if wire_span is not None:
-                    spans.finish(wire_span, resend=True)
-                return
-            if seq > session.next_seq:
-                if (
-                    seq - session.next_seq > self.policy.session_window
-                    or len(session.held) >= self.policy.session_window
-                ):
-                    self.conn_counters["too_many_inflight"] += 1
-                    conn.send(
-                        protocol.error_reply(
-                            protocol.E_TOO_MANY_INFLIGHT,
-                            f"seq {seq} is {seq - session.next_seq} ahead of "
-                            f"the session head; window is "
-                            f"{self.policy.session_window}",
-                            seq=seq,
-                        )
+        if seq > session.next_seq:
+            if (
+                seq - session.next_seq > self.policy.session_window
+                or len(session.held) >= self.policy.session_window
+            ):
+                self.conn_counters["too_many_inflight"] += 1
+                conn.send(
+                    protocol.error_reply(
+                        protocol.E_TOO_MANY_INFLIGHT,
+                        f"seq {seq} is {seq - session.next_seq} ahead of "
+                        f"the session head; window is "
+                        f"{self.policy.session_window}",
+                        seq=seq,
                     )
-                    if wire_span is not None:
-                        spans.finish(wire_span, refused=protocol.E_TOO_MANY_INFLIGHT)
-                    return
-                # Out-of-order arrival (an earlier seq was lost on the
-                # wire): hold it, never submit ahead of trace order.
-                self.conn_counters["held"] += 1
-                session.held[seq] = (conn, sid, packet, wire_span)
+                )
                 if wire_span is not None:
-                    spans.finish(wire_span, held=True)
+                    spans.finish(wire_span, refused=protocol.E_TOO_MANY_INFLIGHT)
                 return
+            # Out-of-order arrival (an earlier seq was lost on the
+            # wire): hold it, never submit ahead of trace order.
+            self.conn_counters["held"] += 1
+            session.held[seq] = (conn, packet, wire_span)
+            if wire_span is not None:
+                spans.finish(wire_span, held=True)
+            return
         if conn.inflight >= self.policy.max_inflight:
             self.conn_counters["too_many_inflight"] += 1
             conn.send(
@@ -967,9 +920,8 @@ class ServiceServer:
             if wire_span is not None:
                 spans.finish(wire_span, refused=protocol.E_TOO_MANY_INFLIGHT)
             return
-        self._admit_and_enqueue(conn, seq, sid, packet, wire_span, session)
-        if session is not None:
-            self._flush_held(session)
+        self._admit_and_enqueue(conn, seq, packet, wire_span)
+        self._flush_held(session)
 
     async def _handle_flush(self, conn: _Connection) -> None:
         """End-of-stream: drain the queue, then build the final result.

@@ -1,9 +1,10 @@
 """Wire-level chaos: network fault plans, the chaos proxy, and parity.
 
-The headline guarantee under test: with a sessioned client, a replay
-whose wire is attacked by *every* :class:`NetworkFaultPlan` fault class
-still flushes a ``SimulationResult`` byte-identical to offline
-``simulate`` — and a fault-free plan leaves the byte stream untouched.
+The headline guarantee under test: every client carries an exactly-once
+session, so a replay whose wire is attacked by *every*
+:class:`NetworkFaultPlan` fault class still flushes a
+``SimulationResult`` byte-identical to offline ``simulate`` — and a
+fault-free plan leaves the byte stream untouched.
 
 Asyncio pieces run under ``asyncio.run`` inside synchronous tests (no
 pytest-asyncio in the environment).
@@ -150,7 +151,6 @@ async def chaos_replay(
     config,
     plan,
     *,
-    session=True,
     request_timeout=1.0,
     window=32,
     policy=None,
@@ -166,7 +166,6 @@ async def chaos_replay(
     client = ServiceClient(
         "127.0.0.1",
         proxy.port,
-        session=session,
         request_timeout=request_timeout,
         breaker=breaker,
     )
@@ -208,10 +207,8 @@ class TestChaosParity:
 
     def test_null_plan_is_byte_transparent(self):
         # Fault-free wire: the proxy must not perturb a single byte, for
-        # a legacy (session-less) client with no supervision opt-ins.
-        server, proxy, client = self.run_plan(
-            None, session=False, request_timeout=None
-        )
+        # a client with no request deadline and no circuit breaker.
+        server, proxy, client = self.run_plan(None, request_timeout=None)
         assert proxy.transparent()
         assert proxy.total_faults == 0
         assert client.reconnects == 0
@@ -340,7 +337,7 @@ class TestClientHardening:
             await server.start()
             proxy = ChaosProxy("127.0.0.1", server.port, plan)
             await proxy.start()
-            client = ServiceClient("127.0.0.1", proxy.port, session=True)
+            client = ServiceClient("127.0.0.1", proxy.port)
             try:
                 hello = await client.connect()
             finally:
@@ -447,7 +444,7 @@ class TestSessionPickle:
         session.next_seq = 7
         session.acked = 3
         session.cache = {5: {"type": "result", "seq": 5}}
-        session.held[9] = ("conn", 0, "packet", None)
+        session.held[9] = ("conn", "packet", None)
         session.waiters[6] = "conn"
         restored = pickle.loads(pickle.dumps(session))
         assert restored.session_id == "s1"

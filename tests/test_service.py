@@ -506,7 +506,7 @@ class TestConnectionSupervision:
             reader, writer = await raw_connect(server.port)
             try:
                 hello = await raw_request(
-                    reader, writer, {"type": protocol.HELLO}
+                    reader, writer, {"type": protocol.HELLO, "session": "s-cap"}
                 )
                 assert hello["type"] == protocol.HELLO_OK
                 packet = make_trace().packets[0]
@@ -538,7 +538,9 @@ class TestConnectionSupervision:
         async def body(server):
             reader, writer = await raw_connect(server.port)
             try:
-                await raw_request(reader, writer, {"type": protocol.HELLO})
+                await raw_request(
+                    reader, writer, {"type": protocol.HELLO, "session": "s-slow"}
+                )
                 packet = make_trace().packets[0]
                 writer.write(
                     protocol.encode(
@@ -722,20 +724,60 @@ class TestSessions:
         asyncio.run(with_server(body))
 
     def test_sessionless_wire_format_is_unchanged(self):
-        # Legacy clients must see byte-identical behaviour: no session
-        # field in hello_ok, no session state server-side.
+        # A hello without a session is still valid (stats, ping and
+        # flush need none), but its translates are refused not_bound and
+        # never reach the engine or create session state.
         async def body(server):
+            packet = make_trace().packets[0]
             reader, writer = await raw_connect(server.port)
             try:
                 hello = await raw_request(
                     reader, writer, {"type": protocol.HELLO}
                 )
+                assert hello["type"] == protocol.HELLO_OK
                 assert "session" not in hello
+                refused = await raw_request(
+                    reader, writer, self.translate_msg(packet, 7)
+                )
+                assert refused["type"] == protocol.ERROR
+                assert refused["code"] == protocol.E_NOT_BOUND
+                assert refused["seq"] == 7
+                pong = await raw_request(
+                    reader, writer, {"type": protocol.PING}
+                )
+                assert pong["type"] == protocol.PONG
             finally:
                 writer.close()
+            assert server.engine.processed == 0
             assert not server._sessions
 
         asyncio.run(with_server(body))
+
+    def test_unknown_sid_is_an_in_order_answer(self):
+        # An unknown SID is a final answer for its seq: the session head
+        # moves past it, so the packets after it are not held forever.
+        packets = make_trace().packets
+        stray = PacketRecord(
+            sid=9999, giovas=packets[1].giovas,
+            size_bytes=packets[1].size_bytes,
+        )
+        trace = [packets[0], stray, *packets[2:10]]
+
+        async def body(server):
+            client = ServiceClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                return await asyncio.wait_for(client.replay(trace), 10.0)
+            finally:
+                await client.close()
+
+        outcomes, server = asyncio.run(with_server(body))
+        assert [o["seq"] for o in outcomes] == list(range(len(trace)))
+        assert outcomes[1]["code"] == protocol.E_UNKNOWN_SID
+        assert all(
+            o["type"] == protocol.RESULT for i, o in enumerate(outcomes) if i != 1
+        )
+        assert server.engine.processed == len(trace) - 1
 
 
 class TestSweepRegistration:

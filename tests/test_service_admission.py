@@ -19,7 +19,7 @@ from repro.service.admission import (
 )
 from repro.service.client import ServiceClient
 from repro.service.engine import ServiceEngine
-from repro.service.server import ServiceServer, _Connection
+from repro.service.server import ServiceServer, _Connection, _Session
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import profile_by_name
 
@@ -234,7 +234,7 @@ class TestServerAdmission:
         assert total_shed == len(sheds)
 
     def test_disconnect_mid_stream_leaks_no_engine_state(self):
-        """Requests queued by a dead client are discarded at dispatch."""
+        """A dead client's queued requests are translated exactly once."""
 
         class _DeadWriter:
             def write(self, data):
@@ -255,8 +255,12 @@ class TestServerAdmission:
                 engine, admission=AdmissionConfig(max_queue_depth=16)
             )
             await server.start()
-            conn = _Connection(_DeadWriter(), name="dead-client")
             queued = trace.packets[:5]
+            session = _Session("s-dead")
+            session.next_seq = len(queued)
+            server._sessions[session.session_id] = session
+            conn = _Connection(_DeadWriter(), name="dead-client")
+            conn.session = session
             for seq, packet in enumerate(queued):
                 assert server.admission.acquire(packet.sid, 0.0) is None
                 server._queue.put_nowait((conn, seq, packet, None))
@@ -268,10 +272,48 @@ class TestServerAdmission:
                 packet.sid: server.admission.in_flight(packet.sid)
                 for packet in queued
             }
+            # The client comes back under its session and resends them.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            try:
+                writer.write(
+                    protocol.encode(
+                        {"type": protocol.HELLO, "session": session.session_id}
+                    )
+                )
+                for seq, packet in enumerate(queued):
+                    writer.write(
+                        protocol.encode(
+                            {
+                                "type": protocol.TRANSLATE,
+                                "seq": seq,
+                                "sid": packet.sid,
+                                "giovas": list(packet.giovas),
+                                "size": packet.size_bytes,
+                            }
+                        )
+                    )
+                await writer.drain()
+                replies = [
+                    protocol.decode(await reader.readline())
+                    for _ in range(1 + len(queued))
+                ]
+            finally:
+                writer.close()
+            resent_processed = engine.processed
             await server.shutdown()
-            return processed, in_flight
+            return processed, in_flight, replies, resent_processed, session
 
-        processed, in_flight = asyncio.run(run())
-        assert processed == 0  # the engine never saw the dead requests
+        processed, in_flight, replies, resent_processed, session = asyncio.run(
+            run()
+        )
+        assert processed == 5  # translated once, replies cached
         # Every admission slot was returned, for every affected tenant.
         assert all(count == 0 for count in in_flight.values())
+        assert replies[0]["type"] == protocol.HELLO_OK
+        results = replies[1:]
+        assert [r["seq"] for r in results] == [0, 1, 2, 3, 4]
+        assert results == [session.cache[seq] for seq in range(5)]
+        assert all(r["type"] == protocol.RESULT for r in results)
+        assert resent_processed == 5  # the resend never re-ran the engine
