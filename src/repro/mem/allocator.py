@@ -2,10 +2,13 @@
 
 Page tables built by :mod:`repro.mem.pagetable` need physical addresses for
 their nodes and leaf frames.  The allocator hands out frame addresses from a
-bump pointer, optionally scattering them with a deterministic permutation so
-that page-table nodes of different tenants do not land in trivially
-sequential addresses (real hosts allocate from a shared buddy allocator, so
-different VMs' frames interleave).
+bump pointer.  Without huge (2 MB-aligned) allocations, the frames a run of
+allocations gets depend only on where the pointer stood when it began: the
+same allocations made from a cursor ``n`` frames further on get frames
+exactly ``n`` frames higher.  Host backings are 4 KB frames, so tenants with
+the same page layout, built one after another from the shared host
+allocator, get the same host page tables moved by a fixed offset (see
+:meth:`repro.mem.pagetable.AddressSpace.shifted_copy`).
 """
 
 from __future__ import annotations
@@ -20,22 +23,13 @@ class FrameAllocator:
     ----------
     base:
         First physical address handed out.  Must be 4 KB aligned.
-    scatter:
-        When true, frame addresses are permuted with a multiplicative hash
-        within a large window so consecutive allocations are not consecutive
-        in physical memory.  The permutation is deterministic, so traces and
-        page tables are reproducible.
     """
 
-    #: Window (in frames) within which scattered allocations are permuted.
-    _SCATTER_WINDOW_BITS = 24
-
-    def __init__(self, base: int = 0x1_0000_0000, scatter: bool = False):
+    def __init__(self, base: int = 0x1_0000_0000):
         if base % PAGE_SIZE_4K != 0:
             raise ValueError(f"base {base:#x} is not 4 KiB aligned")
         self._base_frame = base >> PAGE_SHIFT_4K
         self._next = 0
-        self._scatter = scatter
 
     @property
     def frames_allocated(self) -> int:
@@ -43,17 +37,11 @@ class FrameAllocator:
         return self._next
 
     def allocate(self, count: int = 1) -> int:
-        """Allocate ``count`` contiguous 4 KB frames; return the base address.
-
-        With ``scatter`` enabled only single-frame allocations are permuted;
-        multi-frame allocations stay contiguous (matching huge-page backing).
-        """
+        """Allocate ``count`` contiguous 4 KB frames; return the base address."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         index = self._next
         self._next += count
-        if self._scatter and count == 1:
-            index = self._permute(index)
         return (self._base_frame + index) << PAGE_SHIFT_4K
 
     def allocate_node(self) -> int:
@@ -68,14 +56,3 @@ class FrameAllocator:
         if remainder:
             self._next += frames_per_huge - remainder
         return self.allocate(frames_per_huge)
-
-    def _permute(self, index: int) -> int:
-        """Deterministically permute ``index`` within the scatter window.
-
-        Uses a Feistel-free odd-multiplier permutation: multiplication by an
-        odd constant modulo a power of two is a bijection.
-        """
-        window = 1 << self._SCATTER_WINDOW_BITS
-        low = index % window
-        high = index - low
-        return high + (low * 0x9E3779B1 % window)

@@ -13,6 +13,7 @@ the page-walk caches operate on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -200,6 +201,53 @@ class PageTable:
             node = entry.child  # type: ignore[assignment]
         raise TranslationFault(virtual, 0, self.name)
 
+    def shifted_copy(
+        self, allocator: FrameAllocator, name: str, offset: int = 0
+    ) -> "PageTable":
+        """Return an independent copy with every frame ``offset`` bytes higher.
+
+        Node addresses and leaf frames move by ``offset``; virtual
+        addresses, entry order and the tree's shape stay.  The copy shares
+        no mutable object with this table and allocates new nodes from
+        ``allocator``.  Frame ints are immutable, so each shifted frame is
+        made once for both the leaf entry and ``_mappings``, and with
+        ``offset == 0`` the copy reuses this table's ints.
+        """
+        shifted: Dict[int, int] = {}
+
+        def copy_node(node: PageTableNode) -> PageTableNode:
+            entries = {}
+            for index, entry in node.entries.items():
+                child = entry.child
+                if child is not None:
+                    entries[index] = PageTableEntry(child=copy_node(child))
+                    continue
+                frame = entry.frame
+                if offset:
+                    moved = frame + offset
+                    shifted[frame] = moved
+                    frame = moved
+                entries[index] = PageTableEntry(frame=frame, page_shift=entry.page_shift)
+            address = node.physical_address
+            return PageTableNode(
+                level=node.level,
+                physical_address=address + offset if offset else address,
+                entries=entries,
+            )
+
+        table = PageTable.__new__(PageTable)
+        table._allocator = allocator
+        table.name = name
+        table.root = copy_node(self.root)
+        if offset:
+            table._mappings = {
+                virtual: (shifted[frame], page_shift)
+                for virtual, (frame, page_shift) in self._mappings.items()
+            }
+        else:
+            table._mappings = dict(self._mappings)
+        return table
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -255,6 +303,29 @@ class AddressSpace:
         across all of them; one log shared by every space records it.
         """
         self._backing_log = (log, key)
+
+    def shifted_copy(
+        self, host_allocator: FrameAllocator, name: str, host_offset: int
+    ) -> "AddressSpace":
+        """Return an independent copy with every host frame ``host_offset`` bytes higher.
+
+        Guest-physical addresses stay, so the guest table is copied as is
+        and the copy's guest allocator starts at this space's cursor.  The
+        copy's host table draws new frames from ``host_allocator``, and no
+        backing log is attached.
+        """
+        guest_allocator = copy.copy(self._guest_allocator)
+        space = AddressSpace.__new__(AddressSpace)
+        space.name = name
+        space._guest_allocator = guest_allocator
+        space.guest_table = self.guest_table.shifted_copy(
+            host_allocator_adapter(guest_allocator), f"{name}/guest"
+        )
+        space.host_table = self.host_table.shifted_copy(
+            host_allocator, f"{name}/host", host_offset
+        )
+        space._backing_log = None
+        return space
 
     def map_io_page(self, giova: int, page_shift: int = PAGE_SHIFT_4K) -> int:
         """Create a full two-level mapping for the page holding ``giova``.

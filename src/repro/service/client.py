@@ -349,7 +349,9 @@ class ServiceClient:
         ``rate_limited``).  ``on_outcome(seq, reply)`` is called as each
         reply lands.
 
-        With ``request_timeout`` set, a reply that fails to land within
+        A ``too_many_inflight`` refusal leaves the connection open, so
+        the refused seq is resent on it before any new seq.  With
+        ``request_timeout`` set, a reply that fails to land within
         the deadline is treated as a dead connection (reconnect, resend).
         An undecodable frame is likewise a reconnect, because the
         server's session cache makes the resend exact.  Against a peer
@@ -361,21 +363,23 @@ class ServiceClient:
         outcomes: List[Optional[Dict[str, Any]]] = [None] * total
         sent_at: Dict[int, float] = {}
         acked = 0
+        #: Seqs the server refused on a connection it keeps open.
+        refused: List[int] = []
 
         def apply(reply: Dict[str, Any]) -> bool:
             """Record one reply; True if it answered a pending seq."""
             kind = reply.get("type")
             if kind == protocol.RESTARTING:
                 return False
-            if (
-                kind == protocol.ERROR
-                and reply.get("code") in protocol.RETRYABLE_CODES
-            ):
-                # The server refused this request while draining; it will
-                # be resent after reconnecting.
-                return False
             seq = reply.get("seq")
             if not isinstance(seq, int) or not 0 <= seq < total:
+                return False
+            code = reply.get("code") if kind == protocol.ERROR else None
+            if code in protocol.RETRYABLE_CODES:
+                if code == protocol.E_TOO_MANY_INFLIGHT:
+                    refused.append(seq)
+                # Otherwise the server is closing the connection; the seq
+                # is resent after reconnecting.
                 return False
             if outcomes[seq] is not None:
                 return False
@@ -411,8 +415,16 @@ class ServiceClient:
             if self._writer is None:
                 await self.connect()
             sent = acked
+            refused.clear()
             try:
                 while acked < total:
+                    for seq in refused:
+                        if outcomes[seq] is None:
+                            sent_at[seq] = time.monotonic()
+                            await self._send(
+                                self._translate_message(packets[seq], seq, acked)
+                            )
+                    refused.clear()
                     while sent < total and sent - acked < window:
                         if outcomes[sent] is None:
                             sent_at[sent] = time.monotonic()

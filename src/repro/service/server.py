@@ -518,7 +518,10 @@ class ServiceServer:
         original died.
         """
         session = conn.session
-        session.cache[seq] = reply
+        if seq >= session.acked:
+            # Below the ack watermark the client never resends it, and
+            # eviction only pops seqs at or above the watermark.
+            session.cache[seq] = reply
         waiter = session.waiters.pop(seq, None)
         delivered = False
         if not conn.closed:
@@ -861,9 +864,14 @@ class ServiceServer:
         ack = message.get("ack")
         if isinstance(ack, int) and ack > session.acked:
             # The client's contiguous-answered watermark: everything
-            # below it will never be resent, so the cache lets go.
-            for answered in [s for s in session.cache if s < ack]:
-                del session.cache[answered]
+            # below it will never be resent, so the cache lets go.  No
+            # seq below ``acked`` or at or above ``next_seq`` is cached;
+            # keeping ``acked <= next_seq`` means an ack that runs ahead
+            # cannot skip entries cached later.
+            ack = min(ack, session.next_seq)
+            cache = session.cache
+            for answered in range(session.acked, ack):
+                cache.pop(answered, None)
             session.acked = ack
         if seq < session.next_seq:
             cached = session.cache.get(seq)

@@ -57,25 +57,3 @@ class TestHugeAllocation:
         small = allocator.allocate()
         assert small >= huge + PAGE_SIZE_2M
 
-
-class TestScatter:
-    def test_scatter_is_deterministic(self):
-        a = FrameAllocator(base=0, scatter=True)
-        b = FrameAllocator(base=0, scatter=True)
-        assert [a.allocate() for _ in range(20)] == [b.allocate() for _ in range(20)]
-
-    def test_scatter_produces_distinct_frames(self):
-        allocator = FrameAllocator(base=0, scatter=True)
-        frames = [allocator.allocate() for _ in range(1000)]
-        assert len(set(frames)) == len(frames)
-
-    def test_scatter_breaks_contiguity(self):
-        allocator = FrameAllocator(base=0, scatter=True)
-        frames = [allocator.allocate() for _ in range(8)]
-        deltas = {b - a for a, b in zip(frames, frames[1:])}
-        assert deltas != {PAGE_SIZE_4K}
-
-    def test_scattered_frames_are_page_aligned(self):
-        allocator = FrameAllocator(base=0, scatter=True)
-        for _ in range(100):
-            assert allocator.allocate() % PAGE_SIZE_4K == 0

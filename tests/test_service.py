@@ -18,7 +18,7 @@ from repro.service.engine import (
     UnknownTenantError,
     load_service_checkpoint,
 )
-from repro.service.server import ConnectionPolicy, ServiceServer
+from repro.service.server import ConnectionPolicy, ServiceServer, _Connection, _Session
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.simulator import HyperSimulator
 from repro.trace.constructor import construct_trace
@@ -529,6 +529,34 @@ class TestConnectionSupervision:
 
         asyncio.run(with_server(body, policy=policy))
 
+    def test_replay_resends_a_seq_the_inflight_cap_refused(self):
+        # The cap refuses a request but keeps the connection open, so the
+        # replay must resend the refused seq on it; the session cache
+        # keeps the resend exactly-once.
+        config = hypertrio_config()
+        offline = offline_result(config, packets=80)
+
+        async def body(server):
+            client = ServiceClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                outcomes = await asyncio.wait_for(
+                    client.replay(make_trace(packets=80).packets, window=64), 10.0
+                )
+                return outcomes, await client.flush()
+            finally:
+                await client.close()
+
+        (outcomes, flush), server = asyncio.run(
+            with_server(body, policy=ConnectionPolicy(max_inflight=4), packets=80)
+        )
+        assert server.conn_counters["too_many_inflight"] > 0
+        assert [o["seq"] for o in outcomes] == list(range(80))
+        assert all(o["type"] == protocol.RESULT for o in outcomes)
+        assert server.results_sent == 80
+        assert server.engine.processed == 80
+        assert result_from_dict(flush["result"]) == offline
+
     def test_slow_peer_is_evicted_not_awaited(self):
         # A zero write-buffer cap marks every touched connection slow the
         # moment the dispatcher replies to it — the eviction path runs
@@ -720,6 +748,84 @@ class TestSessions:
             finally:
                 writer.close()
             assert server.engine.processed == 2
+
+        asyncio.run(with_server(body))
+
+    def test_ack_evicts_what_a_full_cache_scan_would(self):
+        # The server evicts by popping the seqs between its old and new
+        # watermark; the cache must end as a scan of every entry below
+        # each new ack leaves it.
+        def scan(events):
+            cache, acked = set(), 0
+            for seq, ack in events:
+                if ack > acked:
+                    cache = {s for s in cache if s >= ack}
+                    acked = ack
+                cache.add(seq)
+            return cache
+
+        class AckRecordingClient(ServiceClient):
+            last_ack = 0
+
+            def _translate_message(self, packet, seq, ack):
+                self.last_ack = ack
+                return super()._translate_message(packet, seq, ack)
+
+        async def body(server):
+            packets = make_trace().packets
+            client = AckRecordingClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                outcomes = await client.replay(packets, window=64)
+            finally:
+                await client.close()
+            session = server._sessions[client.session_id]
+            # A client acks only seqs it has answers for.
+            assert session.cache == {
+                seq: outcomes[seq] for seq in range(client.last_ack, PACKETS)
+            }
+            assert session.acked == client.last_ack
+            # A client whose ack runs ahead of the session head.
+            reader, writer = await raw_connect(server.port)
+            events = [(seq, seq + 3) for seq in range(8)]
+            events += [(8, 20)] + [(seq, seq + 12) for seq in range(9, 12)]
+            try:
+                await raw_request(
+                    reader, writer, {"type": protocol.HELLO, "session": "s-ahead"}
+                )
+                session = server._sessions["s-ahead"]
+                for seq, ack in events:
+                    reply = await raw_request(
+                        reader, writer, self.translate_msg(packets[seq], seq, ack=ack)
+                    )
+                    assert reply["type"] == protocol.RESULT
+                    assert set(session.cache) == scan(events[: seq + 1])
+                    assert session.acked <= session.next_seq
+            finally:
+                writer.close()
+
+        asyncio.run(with_server(body))
+
+    def test_ack_of_a_queued_seq_leaves_no_entry_behind(self):
+        # An ack can pass a seq whose reply has not landed yet; that reply
+        # must not be cached, because no later ack would pop it.
+        class _Writer:
+            def write(self, data):
+                pass
+
+        async def body(server):
+            packets = make_trace().packets
+            conn = _Connection(_Writer(), name="eager-acker")
+            conn.session = server._sessions["s-eager"] = _Session("s-eager")
+            # Both arrive before the dispatcher answers seq 0.
+            server._handle_translate(conn, self.translate_msg(packets[0], 0, ack=0))
+            server._handle_translate(conn, self.translate_msg(packets[1], 1, ack=1))
+            await server._queue.join()
+            assert set(conn.session.cache) == {1}
+            server._handle_translate(conn, self.translate_msg(packets[2], 2, ack=2))
+            await server._queue.join()
+            assert set(conn.session.cache) == {2}
+            assert server.engine.processed == 3
 
         asyncio.run(with_server(body))
 

@@ -1,7 +1,10 @@
 """Unit tests for trace records, tenant specs, and workload generation."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.isolation import ANTAGONIST
 from repro.mem.address import PAGE_SHIFT_2M
 from repro.trace.records import (
     PacketRecord,
@@ -19,7 +22,9 @@ from repro.trace.tenant import (
     make_tenant_specs,
     profile_by_name,
 )
+from repro.trace.constructor import Interleaving, interleave
 from repro.trace.workload import (
+    HOST_PHYSICAL_BASE,
     HyperTenantSystem,
     build_system,
     build_tenant_workload,
@@ -178,3 +183,129 @@ class TestWorkloads:
         system, _ = build_system(make_tenant_specs(IPERF3, 2, 10))
         system.remove_tenant(0)
         assert system.sids() == (1,)
+
+
+def _table_state(table):
+    """A page table as plain data: nodes in entry order, leaves, mappings."""
+
+    def node_state(node):
+        return (
+            node.level,
+            node.physical_address,
+            [
+                (index, node_state(entry.child))
+                if entry.child is not None
+                else (index, entry.frame, entry.page_shift)
+                for index, entry in node.entries.items()
+            ],
+        )
+
+    return node_state(table.root), list(table._mappings.items())
+
+
+def _tenant_state(workload):
+    space = workload.space
+    return (
+        _table_state(space.guest_table),
+        _table_state(space.host_table),
+        space._guest_allocator.frames_allocated,
+        workload.init_requests,
+    )
+
+
+def _mixed_specs():
+    """Five page layouts, three tenants each, interleaved by SID."""
+    profiles = [
+        IPERF3,
+        WEBSEARCH,
+        ANTAGONIST,
+        replace(MEDIASTREAM, remap_on_advance=True).scaled(packets_per_tenant=240),
+        replace(IPERF3, huge_data_pages=False),
+    ]
+    return [
+        TenantSpec(sid=sid, profile=profiles[sid % len(profiles)], packets=240, seed=sid)
+        for sid in range(3 * len(profiles))
+    ]
+
+
+class TestDerivedTenants:
+    """HyperTenantSystem maps the first tenant of each page layout and
+    copies the rest; every copy must equal the tenant mapped page by page."""
+
+    @pytest.mark.parametrize("interleaving", ["RR1", "RAND1"])
+    def test_derived_tenants_equal_mapped_ones(self, interleaving):
+        specs = _mixed_specs()
+        system = HyperTenantSystem()
+        # The reference maps every tenant page by page, each at the host
+        # cursor the system added it at.
+        reference_allocator = FrameAllocator(base=HOST_PHYSICAL_BASE)
+        derived, reference = [], []
+        for spec in specs:
+            assert (
+                reference_allocator.frames_allocated
+                == system.host_allocator.frames_allocated
+            )
+            derived.append(system.add_tenant(spec))
+            reference.append(build_tenant_workload(spec, reference_allocator))
+
+        def check():
+            assert [_tenant_state(w) for w in derived] == [
+                _tenant_state(w) for w in reference
+            ]
+            assert (
+                system.host_allocator.frames_allocated
+                == reference_allocator.frames_allocated
+            )
+
+        check()
+        scheme = Interleaving.parse(interleaving)
+        packets = list(interleave([w.packet_stream() for w in derived], scheme, seed=5))
+        assert packets == list(
+            interleave([w.packet_stream() for w in reference], scheme, seed=5)
+        )
+        assert any(packet.invalidations for packet in packets)  # remaps ran
+        check()
+        # Walks back guest nodes and data pages on demand.
+        for packet in packets:
+            for giova in packet.giovas:
+                assert (
+                    system.walker_for(packet.sid).walk(giova).hpa
+                    == reference[packet.sid].walker.walk(giova).hpa
+                )
+        check()
+
+    def test_template_is_not_changed_by_its_first_tenant(self):
+        specs = make_tenant_specs(
+            replace(MEDIASTREAM, remap_on_advance=True), 2, 10
+        )
+        system = HyperTenantSystem()
+        first = system.add_tenant(specs[0])
+        first.space.remap_io_page(0xBBE0_0000, PAGE_SHIFT_2M)
+        first.walker.walk(0xBBE0_0000)
+        cursor = system.host_allocator.frames_allocated
+        second = system.add_tenant(specs[1])
+        reference_allocator = FrameAllocator(base=HOST_PHYSICAL_BASE)
+        reference_allocator.allocate(cursor)
+        reference = build_tenant_workload(specs[1], reference_allocator)
+        assert _tenant_state(second) == _tenant_state(reference)
+        assert (
+            system.host_allocator.frames_allocated
+            == reference_allocator.frames_allocated
+        )
+
+    def test_derived_tenants_share_no_mutable_object(self):
+        _, workloads = build_system(make_tenant_specs(MEDIASTREAM, 3, 10))
+        owners = {}
+        for workload in workloads:
+            space = workload.space
+            for table in (space.guest_table, space.host_table):
+                objects = [table._mappings]
+                stack = [table.root]
+                while stack:
+                    node = stack.pop()
+                    objects += [node, node.entries, *node.entries.values()]
+                    stack += [e.child for e in node.entries.values() if e.child]
+                for obj in objects:
+                    assert owners.setdefault(id(obj), workload) is workload
+            allocator = space._guest_allocator
+            assert owners.setdefault(id(allocator), workload) is workload
