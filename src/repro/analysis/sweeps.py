@@ -201,8 +201,6 @@ def run_point(
     scale: RunScale,
     native: bool = False,
     seed: int = 0,
-    telemetry=None,
-    observability=None,
     fault_plan=None,
     trace=None,
     checkpoint_every: int = 0,
@@ -212,10 +210,8 @@ def run_point(
 ) -> SweepPoint:
     """Simulate one sweep point at the given scale.
 
-    ``telemetry`` and ``observability`` are forwarded to the simulator
-    (points answered by an execution hook were simulated elsewhere and
-    ignore them).  ``fault_plan`` runs the point under fault injection
-    (see :mod:`repro.faults`); it is part of the point's identity for
+    ``fault_plan`` runs the point under fault injection (see
+    :mod:`repro.faults`); it is part of the point's identity for
     orchestration hooks.
 
     ``trace`` substitutes an externally supplied
@@ -272,8 +268,6 @@ def run_point(
         trace,
         native=native,
         warmup_packets=warmup,
-        telemetry=telemetry,
-        observability=observability,
         fault_plan=fault_plan,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,

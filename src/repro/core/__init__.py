@@ -10,7 +10,7 @@ from repro.core.config import (
     case_study_timing,
     hypertrio_config,
 )
-from repro.core.fabric import ChipsetPath, DevicePath, Fabric, build_fabric
+from repro.core.fabric import ChipsetPath, DevicePath, Fabric
 from repro.core.config_io import (
     ConfigFormatError,
     config_from_json,
@@ -18,7 +18,6 @@ from repro.core.config_io import (
     load_config,
     save_config,
 )
-from repro.core.hypertrio import TranslationPath, build_translation_path
 from repro.core.prefetch import (
     IovaHistory,
     PrefetchStats,
@@ -26,7 +25,7 @@ from repro.core.prefetch import (
     SidPredictor,
 )
 from repro.core.ptb import PendingTranslationBuffer, PtbStats
-from repro.core.results import RequestLatencyStats, SimulationResult
+from repro.core.results import SimulationResult
 
 __all__ = [
     "ArchConfig",
@@ -45,15 +44,11 @@ __all__ = [
     "DevicePath",
     "ChipsetPath",
     "Fabric",
-    "build_fabric",
-    "TranslationPath",
-    "build_translation_path",
     "PendingTranslationBuffer",
     "PtbStats",
     "PrefetchUnit",
     "SidPredictor",
     "IovaHistory",
     "PrefetchStats",
-    "RequestLatencyStats",
     "SimulationResult",
 ]

@@ -16,9 +16,9 @@ composes them:
   chipset, plus the SID -> device routing
   (:meth:`~repro.core.config.DeviceConfig.device_for`).
 
-:class:`~repro.core.hypertrio.TranslationPath` is now a *view* pairing one
-device path with the shared chipset; with one device it is exactly the
-paper's Figure 6 hardware.
+With one device the fabric is exactly the paper's Figure 6 hardware.
+:func:`attach_observability` wires an observability bundle's eviction
+attribution into every cache of a fabric.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
 from repro.core.config import ArchConfig, TlbConfig
 from repro.core.prefetch import IovaHistory, PrefetchUnit
 from repro.core.ptb import PendingTranslationBuffer
-from repro.device.devtlb import build_devtlb
 from repro.iommu.context import ContextCache, ContextEntry
 from repro.iommu.iommu import Iommu, IommuTimings
 from repro.mem.dram import MainMemory
@@ -80,7 +79,12 @@ def _build_tlb(
     name: str,
     next_use: Optional[Callable[[Hashable], Optional[float]]] = None,
 ) -> TranslationCache:
-    """Instantiate one cache from a :class:`TlbConfig`."""
+    """Instantiate one cache from a :class:`TlbConfig`.
+
+    A plain set-associative cache, a partitioned one (HyperTRIO's
+    DevTLB, Section III) or the fully associative structure of Figure
+    11c.
+    """
     if tlb_config.fully_associative:
         return FullyAssociativeCache(
             num_entries=tlb_config.num_entries,
@@ -113,15 +117,7 @@ def _build_device(
     devtlb_next_use: Optional[Callable[[Hashable], Optional[float]]],
 ) -> DevicePath:
     """Build one device path (DevTLB + PTB + Prefetch Unit)."""
-    devtlb = build_devtlb(
-        num_entries=config.devtlb.num_entries,
-        ways=config.devtlb.ways,
-        num_partitions=config.devtlb.num_partitions,
-        policy=config.devtlb.policy,
-        fully_associative=config.devtlb.fully_associative,
-        name=f"{name_prefix}devtlb",
-        next_use=devtlb_next_use,
-    )
+    devtlb = _build_tlb(config.devtlb, f"{name_prefix}devtlb", devtlb_next_use)
     prefetch_unit = PrefetchUnit(config.prefetch) if config.prefetch.enabled else None
     return DevicePath(
         device_id=device_id,
@@ -188,10 +184,16 @@ def _build_chipset(
 class Fabric:
     """``config.devices.count`` device paths sharing one chipset path.
 
-    Parameters mirror :func:`~repro.core.hypertrio.build_translation_path`;
-    the fabric is what multi-device simulators drive, while single-device
-    callers keep using the :class:`~repro.core.hypertrio.TranslationPath`
-    view returned by :meth:`view`.
+    Parameters
+    ----------
+    walker_for_sid:
+        Callback giving the IOMMU each tenant's two-dimensional walker
+        (usually ``HyperTenantSystem.walker_for``).
+    sids:
+        Tenants to pre-register in the context cache's backing table.
+    devtlb_next_use:
+        Future-knowledge callable, required when the DevTLB policy is
+        ``oracle``.
     """
 
     def __init__(
@@ -219,16 +221,6 @@ class Fabric:
         """Route tenant ``sid`` to its device index."""
         return self.config.devices.device_for(sid)
 
-    def view(self, device_id: int = 0):
-        """A :class:`TranslationPath` view of one device + the chipset."""
-        from repro.core.hypertrio import TranslationPath
-
-        return TranslationPath(
-            config=self.config,
-            device=self.devices[device_id],
-            chipset=self.chipset,
-        )
-
     def named_caches(self):
         """``(name, cache)`` pairs across the whole fabric.
 
@@ -245,13 +237,16 @@ class Fabric:
         return pairs
 
 
-def build_fabric(
-    config: ArchConfig,
-    walker_for_sid: Callable[[int], object],
-    sids=(),
-    devtlb_next_use: Optional[Callable[[Hashable], Optional[float]]] = None,
-) -> Fabric:
-    """Build the full I/O fabric for ``config`` (N devices, one chipset)."""
-    return Fabric(
-        config, walker_for_sid, sids=sids, devtlb_next_use=devtlb_next_use
-    )
+def attach_observability(fabric: Fabric, observability) -> None:
+    """Wire an :class:`~repro.obs.Observability` bundle into ``fabric``.
+
+    Installs cross-tenant eviction attribution listeners on every cache
+    of :meth:`Fabric.named_caches` (the direct measurement behind the
+    paper's isolation claim).  A disabled bundle, or one without an
+    eviction layer, attaches nothing and leaves every hot path untouched.
+    """
+    evictions = observability.evictions if observability is not None else None
+    if evictions is None:
+        return
+    for name, cache in fabric.named_caches():
+        cache.eviction_listener = evictions.listener_for(name)

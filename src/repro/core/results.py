@@ -15,49 +15,7 @@ from repro.cache.base import CacheStats
 from repro.core.ptb import PtbStats
 from repro.device.packet import PacketStats
 from repro.mem.dram import DramStats
-from repro.obs.metrics import latency_bucket, percentile_from_buckets
-
-
-@dataclass
-class RequestLatencyStats:
-    """Aggregate translation-request latency accounting.
-
-    Besides the exact count/total/min/max, every recorded latency lands in
-    a log-spaced bucket (shared with :mod:`repro.obs.metrics`), so any
-    percentile of the distribution can be recovered via
-    :meth:`percentile` — the tail behaviour the paper's figures are
-    actually about, at a few dozen integers of state.
-    """
-
-    count: int = 0
-    total_ns: float = 0.0
-    max_ns: float = 0.0
-    min_ns: float = 0.0
-    #: Log-bucket id -> observation count (see
-    #: :func:`repro.obs.metrics.latency_bucket`).
-    buckets: Dict[int, int] = field(default_factory=dict)
-
-    def record(self, latency_ns: float) -> None:
-        if self.count == 0 or latency_ns < self.min_ns:
-            self.min_ns = latency_ns
-        self.count += 1
-        self.total_ns += latency_ns
-        if latency_ns > self.max_ns:
-            self.max_ns = latency_ns
-        bucket = latency_bucket(latency_ns)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Histogram-backed ``p``-th percentile (``0 <= p <= 100``).
-
-        Accurate to within half a log bucket (< ~6 % relative error);
-        0.0 when nothing was recorded.
-        """
-        return percentile_from_buckets(self.buckets, self.count, p)
+from repro.obs.metrics import LatencyHistogram
 
 
 @dataclass
@@ -73,7 +31,7 @@ class DeviceResult:
 
     device_id: int
     packets: PacketStats
-    latency: RequestLatencyStats
+    latency: LatencyHistogram
     ptb: PtbStats
     elapsed_ns: float
     achieved_bandwidth_gbps: float
@@ -123,7 +81,7 @@ class SimulationResult:
     elapsed_ns: float
     achieved_bandwidth_gbps: float
     packets: PacketStats
-    latency: RequestLatencyStats
+    latency: LatencyHistogram
     ptb: PtbStats
     dram: DramStats
     cache_stats: Dict[str, CacheStats] = field(default_factory=dict)

@@ -1,26 +1,10 @@
-"""Device-side models: packets, ring buffers, and the DevTLB."""
+"""Device-side models: packet accounting and ring buffers."""
 
-from repro.device.devtlb import build_devtlb
-from repro.device.nic import NicDevice, PacketReport, RequestReport
-from repro.device.packet import (
-    REQUESTS_PER_PACKET,
-    Packet,
-    PacketStats,
-    RequestKind,
-    TranslationRequest,
-)
+from repro.device.packet import PacketStats
 from repro.device.ring import DescriptorRing, RingLayout, make_default_layout
 
 __all__ = [
-    "build_devtlb",
-    "NicDevice",
-    "PacketReport",
-    "RequestReport",
-    "Packet",
     "PacketStats",
-    "RequestKind",
-    "TranslationRequest",
-    "REQUESTS_PER_PACKET",
     "DescriptorRing",
     "RingLayout",
     "make_default_layout",

@@ -1,73 +1,18 @@
-"""Packets and the translation requests they trigger.
+"""Device-level packet accounting.
 
 Each packet accepted from the I/O link generates three gIOVA translation
 requests (Section IV-C of the paper): the ring-buffer pointer, the data
-buffer, and the interrupt-mailbox notification address.
+buffer, and the interrupt-mailbox notification address.  The packets
+themselves are :class:`~repro.trace.records.PacketRecord`\\ s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Tuple
+from typing import TYPE_CHECKING
 
-
-class RequestKind(Enum):
-    """Which of a packet's three translations a request represents."""
-
-    RING_POINTER = "ring"
-    DATA_BUFFER = "data"
-    MAILBOX = "mailbox"
-
-
-#: The per-packet request kinds, in issue order.
-REQUESTS_PER_PACKET: Tuple[RequestKind, ...] = (
-    RequestKind.RING_POINTER,
-    RequestKind.DATA_BUFFER,
-    RequestKind.MAILBOX,
-)
-
-
-@dataclass(frozen=True)
-class TranslationRequest:
-    """One gIOVA translation demanded by a packet."""
-
-    sid: int
-    giova: int
-    kind: RequestKind
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        """DevTLB/IOTLB lookup key: ``(sid, giova_page)`` for 4 KB pages."""
-        return (self.sid, self.giova >> 12)
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A packet arriving on the I/O link for tenant ``sid``.
-
-    ``giovas`` are the three addresses the device must translate, ordered as
-    :data:`REQUESTS_PER_PACKET`; ``size_bytes`` includes Ethernet framing
-    plus inter-packet gap (1542 B in Table II).
-    """
-
-    sid: int
-    giovas: Tuple[int, int, int]
-    size_bytes: int = 1542
-    sequence: int = 0
-
-    def requests(self) -> Tuple[TranslationRequest, ...]:
-        """The translation requests this packet generates, in order."""
-        return tuple(
-            TranslationRequest(sid=self.sid, giova=giova, kind=kind)
-            for giova, kind in zip(self.giovas, REQUESTS_PER_PACKET)
-        )
-
-
-#: Drop causes recorded by the engines.  ``ptb_overflow`` is the paper's
-#: drop-and-retry admission failure; ``translation_fault`` and
-#: ``device_reset`` exist only under fault injection (:mod:`repro.faults`).
-DROP_CAUSES = ("ptb_overflow", "translation_fault", "device_reset")
+if TYPE_CHECKING:
+    from repro.trace.records import PacketRecord
 
 
 @dataclass
@@ -80,7 +25,9 @@ class PacketStats:
     retried: int = 0
     bytes_processed: int = 0
     per_tenant_processed: dict = field(default_factory=dict)
-    #: Per-cause drop breakdown; always sums to ``dropped``.
+    #: Per-cause drop breakdown; always sums to ``dropped``.  Besides the
+    #: paper's ``ptb_overflow`` drop-and-retry, fault injection
+    #: (:mod:`repro.faults`) adds ``translation_fault`` and ``device_reset``.
     drop_causes: dict = field(default_factory=dict)
 
     @property
@@ -92,7 +39,7 @@ class PacketStats:
         self.dropped += 1
         self.drop_causes[cause] = self.drop_causes.get(cause, 0) + 1
 
-    def record_processed(self, packet: Packet) -> None:
+    def record_processed(self, packet: PacketRecord) -> None:
         self.bytes_processed += packet.size_bytes
         self.per_tenant_processed[packet.sid] = (
             self.per_tenant_processed.get(packet.sid, 0) + 1

@@ -2,7 +2,7 @@
 
 Everything here is deliberately dependency-free (no imports from
 :mod:`repro.core`), so the result records in :mod:`repro.core.results` can
-reuse the histogram bucket math without an import cycle.
+hold a :class:`LatencyHistogram` without an import cycle.
 
 Histograms are **log-bucketed**: a recorded value lands in one of eight
 geometric sub-buckets per power of two (via :func:`math.frexp`, no
@@ -92,12 +92,17 @@ def percentile_from_buckets(
 
 @dataclass
 class LatencyHistogram:
-    """Log-bucketed latency distribution with exact count/total/min/max."""
+    """Log-bucketed latency distribution with exact count/total/min/max.
+
+    Also the translation-latency record of every
+    :class:`~repro.core.results.SimulationResult`; the field order is the
+    order of its serialised ``latency`` block.
+    """
 
     count: int = 0
     total_ns: float = 0.0
-    min_ns: float = 0.0
     max_ns: float = 0.0
+    min_ns: float = 0.0
     buckets: Dict[int, int] = field(default_factory=dict)
 
     def record(self, value_ns: float) -> None:

@@ -32,10 +32,11 @@ from repro.analysis.scale import RunScale
 from repro.analysis.sweeps import SweepPoint
 from repro.cache.base import CacheStats
 from repro.core.config import ArchConfig
-from repro.core.results import RequestLatencyStats, SimulationResult
+from repro.core.results import SimulationResult
 from repro.core.ptb import PtbStats
 from repro.device.packet import PacketStats
 from repro.mem.dram import DramStats
+from repro.obs.metrics import LatencyHistogram
 from repro.runner.serialize import result_from_dict
 from repro.runner.spec import JobSpec
 
@@ -62,7 +63,7 @@ def _placeholder_result(
         elapsed_ns=0.0,
         achieved_bandwidth_gbps=0.0,
         packets=PacketStats(),
-        latency=RequestLatencyStats(),
+        latency=LatencyHistogram(),
         ptb=PtbStats(),
         dram=DramStats(),
         cache_stats=_AnyCacheStats(),

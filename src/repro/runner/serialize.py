@@ -21,14 +21,10 @@ from typing import Any, Dict
 from repro.analysis.scale import RunScale
 from repro.cache.base import CacheStats
 from repro.core.ptb import PtbStats
-from repro.core.results import (
-    DeviceResult,
-    FabricStats,
-    RequestLatencyStats,
-    SimulationResult,
-)
+from repro.core.results import DeviceResult, FabricStats, SimulationResult
 from repro.device.packet import PacketStats
 from repro.mem.dram import DramStats
+from repro.obs.metrics import LatencyHistogram
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
@@ -74,17 +70,25 @@ def _packets_from_dict(packets_raw: Dict[str, Any]) -> PacketStats:
     return PacketStats(**packets_raw)
 
 
-def _device_result_from_dict(raw: Dict[str, Any]) -> DeviceResult:
-    latency_raw = dict(raw["latency"])
+def _latency_from_dict(latency_raw: Dict[str, Any]) -> LatencyHistogram:
+    """Rebuild a result's latency histogram.
+
+    Records written before the histogram had ``min_ns`` load with 0.0.
+    """
+    latency_raw = dict(latency_raw)
     latency_raw["buckets"] = {
         int(bucket): count
         for bucket, count in (latency_raw.get("buckets") or {}).items()
     }
     latency_raw.setdefault("min_ns", 0.0)
+    return LatencyHistogram(**latency_raw)
+
+
+def _device_result_from_dict(raw: Dict[str, Any]) -> DeviceResult:
     return DeviceResult(
         device_id=raw["device_id"],
         packets=_packets_from_dict(raw["packets"]),
-        latency=RequestLatencyStats(**latency_raw),
+        latency=_latency_from_dict(raw["latency"]),
         ptb=PtbStats(**raw["ptb"]),
         elapsed_ns=raw["elapsed_ns"],
         achieved_bandwidth_gbps=raw["achieved_bandwidth_gbps"],
@@ -101,12 +105,6 @@ def _device_result_from_dict(raw: Dict[str, Any]) -> DeviceResult:
 
 def result_from_dict(raw: Dict[str, Any]) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` data."""
-    latency_raw = dict(raw["latency"])
-    latency_raw["buckets"] = {
-        int(bucket): count
-        for bucket, count in (latency_raw.get("buckets") or {}).items()
-    }
-    latency_raw.setdefault("min_ns", 0.0)
     return SimulationResult(
         config_name=raw["config_name"],
         benchmark=raw["benchmark"],
@@ -116,7 +114,7 @@ def result_from_dict(raw: Dict[str, Any]) -> SimulationResult:
         elapsed_ns=raw["elapsed_ns"],
         achieved_bandwidth_gbps=raw["achieved_bandwidth_gbps"],
         packets=_packets_from_dict(raw["packets"]),
-        latency=RequestLatencyStats(**latency_raw),
+        latency=_latency_from_dict(raw["latency"]),
         ptb=PtbStats(**raw["ptb"]),
         dram=DramStats(**raw["dram"]),
         cache_stats={

@@ -68,7 +68,7 @@ from repro.trace.constructor import HyperTrace
 from repro.trace.records import compute_trace_stats
 
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PathLike = Union[str, os.PathLike]
 

@@ -250,8 +250,6 @@ def simulate_evented(
     native: bool = False,
     max_packets: Optional[int] = None,
     warmup_packets: int = 0,
-    telemetry=None,
-    observability=None,
     fault_plan=None,
     checkpoint_every: int = 0,
     checkpoint_path=None,
@@ -275,8 +273,6 @@ def simulate_evented(
         config,
         trace,
         native=native,
-        telemetry=telemetry,
-        observability=observability,
         fault_plan=fault_plan,
     )
     return simulator.run(

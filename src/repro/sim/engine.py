@@ -1,14 +1,13 @@
 """Per-device engine components of the fabric performance model.
 
-The simulator used to be a monolith driving one
-:class:`~repro.core.hypertrio.TranslationPath`; with the multi-device
-fabric (:mod:`repro.core.fabric`) its per-packet machinery lives here as a
-:class:`DeviceEngine` — one per device path, all sharing the chipset
-through the fabric.  An engine owns everything device-local: the packet
-cursor and per-device clock, admission against this device's PTB, the
-translation of each request through the *shared* IOMMU, the prefetch
-pipeline with its pending-install heap, and per-device accounting
-(packet/latency stats, shared-IOTLB outcomes, walker queueing).
+The simulator's per-packet machinery lives here as a
+:class:`DeviceEngine` — one per device path of the
+:class:`~repro.core.fabric.Fabric`, all sharing its chipset.  An engine
+owns everything device-local: the packet cursor and per-device clock,
+admission against this device's PTB, the translation of each request
+through the *shared* IOMMU, the prefetch pipeline with its
+pending-install heap, and per-device accounting (packet/latency stats,
+shared-IOTLB outcomes, walker queueing).
 
 Both top-level control flows drive the same engines: the analytic
 :class:`~repro.sim.simulator.HyperSimulator` merges per-device cursors by
@@ -31,9 +30,9 @@ import math
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.results import RequestLatencyStats
 from repro.device.packet import PacketStats
 from repro.obs import events as ev
+from repro.obs.metrics import LatencyHistogram
 
 
 class PacketRouter:
@@ -111,7 +110,7 @@ class DeviceEngine:
         self.clock = 0.0
         self.last_completion = 0.0
         self.packet_stats = PacketStats()
-        self.latency_stats = RequestLatencyStats()
+        self.latency_stats = LatencyHistogram()
         self.invalidation_messages = 0
         #: Shared-IOTLB outcomes of this device's DevTLB misses, and the
         #: time its walks queued behind the shared walker pool — the
@@ -482,7 +481,7 @@ class DeviceEngine:
                 ev.PTB_ENQUEUE,
                 now,
                 sid,
-                wait_ns=max(0.0, completion - latency - now),
+                wait_ns=completion - (now + latency),
                 **self._extra,
             )
             tracer.emit(ev.PTB_RELEASE, completion, sid, **self._extra)

@@ -39,18 +39,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cache.base import CacheStats
 from repro.core.config import ArchConfig
-from repro.core.fabric import Fabric, build_fabric
-from repro.core.hypertrio import TranslationPath, attach_observability
+from repro.core.fabric import Fabric, attach_observability
 from repro.core.ptb import PtbStats
-from repro.core.results import (
-    DeviceResult,
-    FabricStats,
-    RequestLatencyStats,
-    SimulationResult,
-)
+from repro.core.results import DeviceResult, FabricStats, SimulationResult
 from repro.device.packet import PacketStats
 from repro.faults.injector import FaultInjector
 from repro.obs import events as ev
+from repro.obs.metrics import LatencyHistogram
 from repro.sim.engine import DeviceEngine, PacketRouter
 from repro.sim.oracle import FutureOracle, oracle_for_trace
 from repro.trace.constructor import HyperTrace
@@ -103,23 +98,16 @@ class HyperSimulator:
         if config.devtlb.policy.lower() == "oracle":
             self._oracle = oracle_for_trace(trace.packets)
             next_use = self._oracle.next_use
-        self.fabric: Fabric = build_fabric(
+        self.fabric = Fabric(
             config,
             walker_for_sid=trace.system.walker_for,
             sids=trace.system.sids(),
             devtlb_next_use=next_use,
         )
-        #: Single-device view kept for API compatibility: ``path.devtlb``
-        #: etc. address device 0 plus the shared chipset.
-        self.path: TranslationPath = self.fabric.view(0)
-        if obs_on:
-            attach_observability(
-                self.path if self.fabric.num_devices == 1 else self.fabric,
-                observability,
-            )
+        attach_observability(self.fabric, observability)
         # Run-global accounting (sums over all devices, recorded live).
         self.packet_stats = PacketStats()
-        self.latency_stats = RequestLatencyStats()
+        self.latency_stats = LatencyHistogram()
         #: ATS-style invalidation messages sent to the devices (driver
         #: unmap events in the trace).
         self.invalidation_messages = 0
@@ -519,7 +507,6 @@ def simulate(
     native: bool = False,
     max_packets: Optional[int] = None,
     warmup_packets: int = 0,
-    telemetry=None,
     observability=None,
     fault_plan=None,
     checkpoint_every: int = 0,
@@ -553,7 +540,6 @@ def simulate(
         config,
         trace,
         native=native,
-        telemetry=telemetry,
         observability=observability,
         fault_plan=fault_plan,
     )

@@ -1,15 +1,16 @@
-"""Tests for the translation-path assembly and result records."""
+"""Tests for the fabric assembly and result records."""
 
 import pytest
 
 from repro.cache.partitioned import PartitionedCache
 from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
 from repro.core.config import TlbConfig, base_config, hypertrio_config
-from repro.core.hypertrio import build_translation_path
-from repro.core.results import RequestLatencyStats, SimulationResult
+from repro.core.fabric import Fabric
+from repro.core.results import SimulationResult
 from repro.core.ptb import PtbStats
 from repro.device.packet import PacketStats
 from repro.mem.dram import DramStats
+from repro.obs.metrics import LatencyHistogram
 from repro.cache.base import CacheStats
 
 
@@ -22,66 +23,52 @@ def _walker_for(sid):
     return _FakeWalker()
 
 
-class TestBuildTranslationPath:
+class TestFabricStructure:
     def test_base_path_structure(self):
-        path = build_translation_path(base_config(), _walker_for, sids=(0, 1))
-        assert isinstance(path.devtlb, SetAssociativeCache)
-        assert not isinstance(path.devtlb, PartitionedCache)
-        assert path.ptb.num_entries == 1
-        assert path.prefetch_unit is None
-        assert path.iova_history is None
+        fabric = Fabric(base_config(), _walker_for, sids=(0, 1))
+        device = fabric.devices[0]
+        assert isinstance(device.devtlb, SetAssociativeCache)
+        assert not isinstance(device.devtlb, PartitionedCache)
+        assert device.ptb.num_entries == 1
+        assert device.prefetch_unit is None
+        assert fabric.chipset.iova_history is None
 
     def test_hypertrio_path_structure(self):
-        path = build_translation_path(hypertrio_config(), _walker_for, sids=(0,))
-        assert isinstance(path.devtlb, PartitionedCache)
-        assert path.devtlb.num_partitions == 8
-        assert path.ptb.num_entries == 32
-        assert path.prefetch_unit is not None
-        assert path.iova_history is not None
-        assert isinstance(path.prefetch_unit.buffer, FullyAssociativeCache)
+        fabric = Fabric(hypertrio_config(), _walker_for, sids=(0,))
+        device = fabric.devices[0]
+        assert isinstance(device.devtlb, PartitionedCache)
+        assert device.devtlb.num_partitions == 8
+        assert device.ptb.num_entries == 32
+        assert device.prefetch_unit is not None
+        assert fabric.chipset.iova_history is not None
+        assert isinstance(device.prefetch_unit.buffer, FullyAssociativeCache)
 
     def test_chipset_structures_geometry(self):
-        config = hypertrio_config()
-        path = build_translation_path(config, _walker_for)
-        assert isinstance(path.iommu.nested_tlb, PartitionedCache)
-        assert path.iommu.nested_tlb.num_partitions == 64
-        assert isinstance(path.iommu.pte_cache, PartitionedCache)
-        assert path.iommu.pte_cache.num_partitions == 32
+        iommu = Fabric(hypertrio_config(), _walker_for).chipset.iommu
+        assert isinstance(iommu.nested_tlb, PartitionedCache)
+        assert iommu.nested_tlb.num_partitions == 64
+        assert isinstance(iommu.pte_cache, PartitionedCache)
+        assert iommu.pte_cache.num_partitions == 32
 
     def test_context_cache_preregistered(self):
-        path = build_translation_path(base_config(), _walker_for, sids=(3, 7))
-        assert path.context_cache.resolve(3).entry.did == 3
+        chipset = Fabric(base_config(), _walker_for, sids=(3, 7)).chipset
+        assert chipset.context_cache.resolve(3).entry.did == 3
         with pytest.raises(KeyError):
-            path.context_cache.resolve(99)
+            chipset.context_cache.resolve(99)
 
     def test_oracle_devtlb_requires_next_use(self):
         config = base_config().with_overrides(
             devtlb=TlbConfig(num_entries=64, ways=8, policy="oracle")
         )
         with pytest.raises(ValueError):
-            build_translation_path(config, _walker_for)
-        path = build_translation_path(
-            config, _walker_for, devtlb_next_use=lambda key: None
-        )
+            Fabric(config, _walker_for)
+        fabric = Fabric(config, _walker_for, devtlb_next_use=lambda key: None)
         # The mirrored chipset IOTLB must not inherit the oracle policy.
-        assert path.iommu.iotlb.policy_name == "lfu"
+        assert fabric.chipset.iommu.iotlb.policy_name == "lfu"
 
     def test_memory_latency_from_timing(self):
-        path = build_translation_path(base_config(), _walker_for)
-        assert path.memory.latency_ns == base_config().timing.dram_latency_ns
-
-
-class TestRequestLatencyStats:
-    def test_record_accumulates(self):
-        stats = RequestLatencyStats()
-        stats.record(10.0)
-        stats.record(30.0)
-        assert stats.count == 2
-        assert stats.mean_ns == 20.0
-        assert stats.max_ns == 30.0
-
-    def test_empty_mean(self):
-        assert RequestLatencyStats().mean_ns == 0.0
+        memory = Fabric(base_config(), _walker_for).chipset.memory
+        assert memory.latency_ns == base_config().timing.dram_latency_ns
 
 
 def _dummy_result(**overrides):
@@ -94,7 +81,7 @@ def _dummy_result(**overrides):
         elapsed_ns=1000.0,
         achieved_bandwidth_gbps=100.0,
         packets=PacketStats(),
-        latency=RequestLatencyStats(),
+        latency=LatencyHistogram(),
         ptb=PtbStats(),
         dram=DramStats(),
         cache_stats={"devtlb": CacheStats(hits=3, misses=1)},

@@ -1,41 +1,14 @@
-"""Unit tests for device-side models: packets, rings, DevTLB builder."""
+"""Unit tests for device-side models: packet accounting, rings, the DevTLB."""
 
 import pytest
 
 from repro.cache.partitioned import PartitionedCache
 from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
-from repro.device.devtlb import build_devtlb
-from repro.device.packet import (
-    REQUESTS_PER_PACKET,
-    Packet,
-    PacketStats,
-    RequestKind,
-    TranslationRequest,
-)
+from repro.core.config import TlbConfig
+from repro.core.fabric import _build_tlb
+from repro.device.packet import PacketStats
 from repro.device.ring import DescriptorRing, RingLayout, make_default_layout
-
-
-class TestPacket:
-    def test_three_requests_per_packet(self):
-        packet = Packet(sid=3, giovas=(0x3480_0000, 0xBBE0_0000, 0x3500_0000))
-        requests = packet.requests()
-        assert len(requests) == 3
-        assert [r.kind for r in requests] == list(REQUESTS_PER_PACKET)
-
-    def test_request_kinds_order(self):
-        assert REQUESTS_PER_PACKET == (
-            RequestKind.RING_POINTER,
-            RequestKind.DATA_BUFFER,
-            RequestKind.MAILBOX,
-        )
-
-    def test_request_key_is_sid_and_4k_page(self):
-        request = TranslationRequest(sid=7, giova=0xBBE0_0123, kind=RequestKind.DATA_BUFFER)
-        assert request.key == (7, 0xBBE00)
-
-    def test_default_packet_size_matches_table2(self):
-        packet = Packet(sid=0, giovas=(0, 0, 0))
-        assert packet.size_bytes == 1542
+from repro.trace.records import PacketRecord
 
 
 class TestPacketStats:
@@ -50,7 +23,7 @@ class TestPacketStats:
 
     def test_record_processed_accumulates(self):
         stats = PacketStats()
-        packet = Packet(sid=2, giovas=(0, 0, 0), size_bytes=1000)
+        packet = PacketRecord(sid=2, giovas=(0, 0, 0), size_bytes=1000)
         stats.record_processed(packet)
         stats.record_processed(packet)
         assert stats.bytes_processed == 2000
@@ -130,23 +103,26 @@ class TestDescriptorRing:
 
 class TestBuildDevtlb:
     def test_base_geometry(self):
-        devtlb = build_devtlb(num_entries=64, ways=8, policy="lfu")
+        devtlb = _build_tlb(TlbConfig(num_entries=64, ways=8, policy="lfu"), "devtlb")
         assert isinstance(devtlb, SetAssociativeCache)
         assert devtlb.num_sets == 8
         assert devtlb.policy_name == "lfu"
 
     def test_partitioned_variant(self):
-        devtlb = build_devtlb(num_entries=64, ways=8, num_partitions=8)
+        devtlb = _build_tlb(
+            TlbConfig(num_entries=64, ways=8, num_partitions=8), "devtlb"
+        )
         assert isinstance(devtlb, PartitionedCache)
         assert devtlb.num_partitions == 8
 
     def test_fully_associative_variant(self):
-        devtlb = build_devtlb(
-            num_entries=64, ways=8, fully_associative=True, policy="lru"
+        devtlb = _build_tlb(
+            TlbConfig(num_entries=64, ways=8, fully_associative=True, policy="lru"),
+            "devtlb",
         )
         assert isinstance(devtlb, FullyAssociativeCache)
         assert devtlb.num_sets == 1
 
     def test_oracle_needs_next_use(self):
         with pytest.raises(ValueError):
-            build_devtlb(num_entries=64, ways=8, policy="oracle")
+            _build_tlb(TlbConfig(num_entries=64, ways=8, policy="oracle"), "devtlb")

@@ -12,8 +12,7 @@ from repro.core.config_io import (
     config_to_dict,
     config_to_json,
 )
-from repro.core.fabric import Fabric, build_fabric
-from repro.core.hypertrio import build_translation_path
+from repro.core.fabric import Fabric
 from repro.core.results import DeviceResult, FabricStats
 from repro.obs import Observability
 from repro.runner.serialize import result_from_dict, result_to_dict
@@ -90,41 +89,26 @@ class TestDeviceConfig:
 
 class TestFabricAssembly:
     def test_one_device_per_count_one_chipset(self):
-        fabric = build_fabric(_multi_config(count=4), walker_for_sid=lambda sid: None)
+        fabric = Fabric(_multi_config(count=4), walker_for_sid=lambda sid: None)
         assert fabric.num_devices == 4
         assert len(fabric.devices) == 4
         assert len({id(device.devtlb) for device in fabric.devices}) == 4
 
-    def test_views_share_the_chipset(self):
-        fabric = build_fabric(_multi_config(count=3), walker_for_sid=lambda sid: None)
-        views = [fabric.view(index) for index in range(3)]
-        assert all(view.chipset is fabric.chipset for view in views)
-        assert views[0].device is not views[1].device
-
     def test_single_device_cache_names_unprefixed(self):
-        fabric = build_fabric(
-            hypertrio_config(), walker_for_sid=lambda sid: None
-        )
+        fabric = Fabric(hypertrio_config(), walker_for_sid=lambda sid: None)
         names = [name for name, _ in fabric.named_caches()]
         assert names == [
             "devtlb", "prefetch_buffer", "iotlb", "nested_tlb", "pte_cache",
         ]
 
     def test_multi_device_cache_names_prefixed(self):
-        fabric = build_fabric(_multi_config(count=2), walker_for_sid=lambda sid: None)
+        fabric = Fabric(_multi_config(count=2), walker_for_sid=lambda sid: None)
         names = [name for name, _ in fabric.named_caches()]
         assert names == [
             "dev0.devtlb", "dev0.prefetch_buffer",
             "dev1.devtlb", "dev1.prefetch_buffer",
             "iotlb", "nested_tlb", "pte_cache",
         ]
-
-    def test_build_translation_path_forces_single_device(self):
-        path = build_translation_path(
-            _multi_config(count=4), walker_for_sid=lambda sid: None
-        )
-        assert path.device.device_id == 0
-        assert path.devtlb.name == "devtlb"
 
 
 class TestConfigRoundTrip:

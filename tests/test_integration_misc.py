@@ -44,7 +44,7 @@ class TestTenantTeardown:
         trace = _trace()
         simulator = HyperSimulator(hypertrio_config(), trace)
         simulator.run(max_packets=300)
-        iommu: Iommu = simulator.path.iommu
+        iommu: Iommu = simulator.fabric.chipset.iommu
         target = trace.packets[0].sid
         iommu.invalidate_tenant(target)
         for cache in (iommu.iotlb, iommu.nested_tlb, iommu.pte_cache):
@@ -54,7 +54,7 @@ class TestTenantTeardown:
         trace = _trace()
         simulator = HyperSimulator(hypertrio_config(), trace)
         simulator.run(max_packets=300)
-        iommu = simulator.path.iommu
+        iommu = simulator.fabric.chipset.iommu
         before = len(iommu.nested_tlb)
         iommu.invalidate_tenant(trace.packets[0].sid)
         assert 0 < len(iommu.nested_tlb) <= before

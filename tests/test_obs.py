@@ -74,6 +74,15 @@ class TestLatencyBuckets:
         with pytest.raises(ValueError):
             percentile_from_buckets({1: 1}, 1, 101.0)
 
+    def test_record_accumulates(self):
+        histogram = LatencyHistogram()
+        histogram.record(10.0)
+        histogram.record(30.0)
+        assert histogram.count == 2
+        assert histogram.mean_ns == 20.0
+        assert histogram.max_ns == 30.0
+        assert histogram.min_ns == 10.0
+
     def test_empty_histogram(self):
         histogram = LatencyHistogram()
         assert histogram.percentile(99.0) == 0.0

@@ -5,6 +5,9 @@ import dataclasses
 import pytest
 
 from repro.core.config import TlbConfig, base_config, hypertrio_config
+from repro.mem.address import page_base
+from repro.obs import Observability
+from repro.obs import events as ev
 from repro.sim.simulator import HyperSimulator, simulate
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import IPERF3, MEDIASTREAM
@@ -169,3 +172,93 @@ class TestHyperTrioVsBase:
         )
         assert base_result.link_utilization > 0.85
         assert hyper_result.link_utilization > 0.85
+
+
+def _walkthrough_run():
+    """The translation walkthrough's four packets through the real engine.
+
+    Tenant A's packet cold, the same packet warm, the same packet after
+    its data page was unmapped, then tenant B's packet over the same
+    gIOVAs.  Returns the simulator and the recorded events, one list per
+    request, each ending with its ``request.translate`` span.
+    """
+    trace = construct_trace(
+        MEDIASTREAM, num_tenants=2, packets_per_tenant=1000, max_packets=10
+    )
+    first = trace.packets[0]
+    unmapped = dataclasses.replace(first, invalidations=(first.giovas[1] >> 12,))
+    other = next(p for p in trace.packets if p.sid != first.sid)
+    trace = dataclasses.replace(trace, packets=[first, first, unmapped, other])
+    observability = Observability.recording()
+    simulator = HyperSimulator(hypertrio_config(), trace, observability=observability)
+    simulator.run()
+    requests, current = [], []
+    for event in observability.tracer.events:
+        if event.kind == ev.PACKET_ADMIT:
+            continue
+        current.append(event)
+        if event.kind == ev.REQUEST_TRANSLATE:
+            requests.append(current)
+            current = []
+    return simulator, requests
+
+
+class TestRequestWalkthrough:
+    def test_four_packet_story(self):
+        simulator, requests = _walkthrough_run()
+        timing = simulator.config.timing
+        packets = simulator.trace.packets
+        assert len(requests) == 12  # four packets, none dropped
+        story = [
+            # (sid, which of the three requests miss the DevTLB)
+            (packets[0].sid, (True, True, True)),      # cold
+            (packets[0].sid, (False, False, False)),   # warm
+            (packets[0].sid, (False, True, False)),    # data page unmapped
+            (packets[3].sid, (True, True, True)),      # the other tenant
+        ]
+        cold_data_walk = requests[1][-1].dur_ns
+        for index, (sid, misses) in enumerate(story):
+            packet = packets[index]
+            for slot, (giova, miss) in enumerate(zip(packet.giovas, misses)):
+                events = requests[3 * index + slot]
+                kinds = [event.kind for event in events]
+                translate = events[-1]
+                assert {event.sid for event in events} == {sid}
+                assert translate.args == {"page": giova >> 12, "hit": not miss}
+                if miss:
+                    assert kinds[:2] == [ev.DEVTLB_MISS, ev.IOTLB_MISS]
+                    assert translate.dur_ns > (
+                        timing.iotlb_hit_ns + 2 * timing.pcie_one_way_ns
+                    )
+                else:
+                    assert kinds == [
+                        ev.DEVTLB_HIT, ev.PTB_ENQUEUE, ev.PTB_RELEASE,
+                        ev.REQUEST_TRANSLATE,
+                    ]
+                    assert translate.dur_ns == timing.iotlb_hit_ns
+        # The re-walk of the unmapped page reuses the cached upper levels.
+        assert requests[7][-1].dur_ns < cold_data_walk
+        # The DevTLB holds each request's 4 KB host page, as the functional
+        # translation gives it, and the two tenants' identical gIOVAs land
+        # on distinct frames.
+        devtlb = simulator.fabric.devices[0].devtlb
+        frames = {}
+        for packet in (packets[0], packets[3]):
+            space = simulator.trace.system.workloads[packet.sid].space
+            for giova in packet.giovas:
+                hpa = devtlb.lookup((packet.sid, giova >> 12))[0]
+                assert hpa == page_base(space.translate(giova))
+                frames[(packet.sid, giova)] = hpa
+        for giova in packets[0].giovas:
+            assert frames[(packets[0].sid, giova)] != frames[(packets[3].sid, giova)]
+
+    def test_ptb_wait_is_zero_when_an_entry_is_free(self):
+        _, requests = _walkthrough_run()
+        waits = [
+            event.args["wait_ns"]
+            for events in requests
+            for event in events
+            if event.kind == ev.PTB_ENQUEUE
+        ]
+        # HyperTRIO's 32-entry PTB never fills on four packets.
+        assert waits == [0.0] * 12
