@@ -629,11 +629,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if server.checkpoint_path is not None:
             print(f"checkpoint: {server.checkpoint_path}", flush=True)
         if args.span_out and server.spans is not None:
-            from repro.obs.export import write_spans
+            from repro.obs.export import write_trace
 
-            path = write_spans(server.spans.spans, args.span_out)
+            path = write_trace(server.spans.events, args.span_out)
             print(
-                f"spans: {path} ({len(server.spans.spans)} spans)",
+                f"spans: {path} ({len(server.spans.events)} spans)",
                 flush=True,
             )
 
@@ -1483,9 +1483,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--span-out", default=None, metavar="PATH",
-        help="record wire-to-engine request spans and write them as a "
-             "Perfetto-loadable Chrome trace on shutdown (clients opt in "
-             "per request via 'trace')",
+        help="record wire-to-engine request spans and write them on "
+             "shutdown as a Perfetto-loadable Chrome trace, or as JSONL for "
+             "a .jsonl path (clients opt in per request via 'trace')",
     )
     serve.add_argument(
         "--max-frame-bytes", type=int, default=1 << 20, metavar="BYTES",

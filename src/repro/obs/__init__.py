@@ -4,10 +4,9 @@ The unified telemetry pipeline (see docs/OBSERVABILITY.md):
 
 * **event tracing** (:mod:`repro.obs.tracer`, :mod:`repro.obs.events`) —
   per-request lifecycle events with deterministic sampling, exportable as
-  Perfetto-compatible Chrome trace JSON or JSONL;
-* **request spans** (:mod:`repro.obs.spans`) — parented wire-to-engine
-  intervals linking client, dispatcher, admission, and engine through
-  the service protocol's ``trace`` field;
+  Perfetto-compatible Chrome trace JSON or JSONL.  The service records
+  its parented wire-to-engine request tree as span events of the same
+  tracer, linked to the client through the protocol's ``trace`` field;
 * **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, log-bucketed
   latency histograms keyed by structure and SID, plus cross-tenant
   eviction attribution; rendered live as Prometheus text by
@@ -41,12 +40,10 @@ from repro.obs import events
 from repro.obs.export import (
     METRICS_SCHEMA,
     metrics_document,
-    spans_to_chrome_events,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
     write_metrics,
-    write_spans,
     write_trace,
 )
 from repro.obs.metrics import (
@@ -60,16 +57,13 @@ from repro.obs.metrics import (
     bucket_midpoint,
     percentile_from_buckets,
 )
-from repro.obs.spans import Span, SpanContext, SpanRecorder
-from repro.obs.tracer import RecordingTracer, TraceEvent
+from repro.obs.tracer import RecordingTracer, SpanContext, TraceEvent
 
 __all__ = [
     "Observability",
     "RecordingTracer",
     "TraceEvent",
-    "Span",
     "SpanContext",
-    "SpanRecorder",
     "MetricsRegistry",
     "LatencyHistogram",
     "Counter",
@@ -81,12 +75,10 @@ __all__ = [
     "percentile_from_buckets",
     "events",
     "metrics_document",
-    "spans_to_chrome_events",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
     "write_metrics",
-    "write_spans",
     "write_trace",
     "METRICS_SCHEMA",
 ]
@@ -105,7 +97,7 @@ class Observability:
         tracer: Optional[RecordingTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         evictions: Optional[EvictionAttribution] = None,
-        spans: Optional[SpanRecorder] = None,
+        spans: Optional[RecordingTracer] = None,
     ):
         self.tracer = tracer
         self.metrics = metrics
@@ -136,19 +128,14 @@ class Observability:
 
     @classmethod
     def profiling(cls, metrics: bool = True) -> "Observability":
-        """The service-telemetry bundle: spans + metrics.
+        """The service-telemetry bundle: request spans + metrics.
 
-        This is what ``repro-sim serve --span-out`` attaches: request
-        spans for the wire-to-engine tree and the registry behind
-        ``stats``/prom export.  Event tracing stays off (spans subsume it
-        here).
+        This is what ``repro-sim serve --span-out`` attaches: a span
+        tracer for the wire-to-engine request tree and the registry
+        behind ``stats``/prom export.  The simulator's event tracing
+        stays off.
         """
         return cls(
             metrics=MetricsRegistry() if metrics else None,
-            spans=SpanRecorder(),
+            spans=RecordingTracer(max_events=1_000_000),
         )
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """The empty bundle: every layer off, so attaching it costs (near) nothing."""
-        return cls()

@@ -27,6 +27,11 @@ The taxonomy mirrors the paper's Figure 3 walk through the hardware:
   :class:`~repro.faults.plan.FaultPlan`): an injected translation fault, a
   packet dropped after exhausting degraded-mode retries, a device reset,
   and an invalidation storm (see ``docs/RESILIENCE.md``).
+* **service** — the translation service's wall-clock request tree,
+  ``wire.read -> {admission, dispatch -> engine.step}``, recorded as span
+  events with :meth:`~repro.obs.tracer.RecordingTracer.start` /
+  ``finish``.  The one prefix keeps each request's spans on one per-SID
+  track.
 """
 
 from __future__ import annotations
@@ -83,8 +88,14 @@ WATCHDOG_KILL = "watchdog.kill"
 SLO_BREACH = "slo.breach"
 SLO_RECOVER = "slo.recover"
 
-#: Every kind the simulator may emit (exporters and tests validate
-#: against this set).
+# Service request tree, in parent order (wall-clock span events) -------
+SERVICE_WIRE_READ = "service.wire.read"
+SERVICE_ADMISSION = "service.admission"
+SERVICE_DISPATCH = "service.dispatch"
+SERVICE_ENGINE_STEP = "service.engine.step"
+
+#: Every kind the simulator or the service may emit (exporters and tests
+#: validate against this set).
 ALL_EVENT_KINDS = frozenset(
     {
         PACKET_ADMIT,
@@ -116,6 +127,10 @@ ALL_EVENT_KINDS = frozenset(
         WATCHDOG_KILL,
         SLO_BREACH,
         SLO_RECOVER,
+        SERVICE_WIRE_READ,
+        SERVICE_ADMISSION,
+        SERVICE_DISPATCH,
+        SERVICE_ENGINE_STEP,
     }
 )
 

@@ -4,10 +4,11 @@
 ``chrome://tracing``): events carry microsecond timestamps, so the
 nanosecond simulation clock is divided by 1000.  Track layout: one
 *process* per structure (``packet``, ``request``, ``devtlb``, ``ptb``,
-``walker``, ``prefetch``, ...) and one *thread* per SID inside it, so
-both per-structure and per-tenant views exist without duplicating
-events.  Spans (``dur_ns > 0``) become complete (``"X"``) events,
-everything else thread-scoped instants (``"i"``).
+``walker``, ``prefetch``, the service's request tree under ``service``,
+...) and one *thread* per SID inside it, so both per-structure and
+per-tenant views exist without duplicating events.  Spans
+(``dur_ns > 0``) become complete (``"X"``) events, everything else
+thread-scoped instants (``"i"``).
 
 **JSONL** is one event object per line — the grep/pandas-friendly form.
 
@@ -23,7 +24,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.events import structure_of
-from repro.obs.spans import Span
 from repro.obs.tracer import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,72 +52,8 @@ def _event_dict(event: TraceEvent) -> Dict[str, Any]:
     return record
 
 
-def spans_to_chrome_events(
-    spans: Iterable[Span], pid: int = 1000
-) -> List[Dict[str, Any]]:
-    """Render request spans as Chrome complete events on one track set.
-
-    Spans live in their own *process* (named ``spans``, default pid 1000
-    so it sorts after the per-structure event tracks) with one thread per
-    SID; every span is a complete (``"X"``) event whose args carry the
-    linking identity (``trace_id`` / ``span_id`` / ``parent_id``), so
-    Perfetto's flow/args view reconstructs the request tree and time
-    containment nests children visually inside their parents.
-    """
-    records: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "spans"},
-        }
-    ]
-    named_threads = set()
-    for span in spans:
-        if span.end_ns is None:
-            continue
-        tid = span.sid if span.sid >= 0 else 0
-        if tid not in named_threads:
-            named_threads.add(tid)
-            records.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {
-                        "name": f"sid {span.sid}" if span.sid >= 0 else "global"
-                    },
-                }
-            )
-        args: Dict[str, Any] = {
-            "trace_id": span.trace_id,
-            "span_id": span.span_id,
-        }
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        if span.attrs:
-            args.update(span.attrs)
-        records.append(
-            {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": span.start_ns / 1000.0,
-                "dur": span.dur_ns / 1000.0,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-    return records
-
-
-def to_chrome_trace(
-    events: Iterable[TraceEvent], spans: Optional[Iterable[Span]] = None
-) -> Dict[str, Any]:
-    """Build a Chrome trace-event document from ``events`` (and spans)."""
+def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
+    """Build a Chrome trace-event document from ``events``."""
     trace_events: List[Dict[str, Any]] = []
     pids: Dict[str, int] = {}
     named_threads = set()
@@ -168,9 +104,6 @@ def to_chrome_trace(
             record["s"] = "t"
         trace_events.append(record)
 
-    if spans is not None:
-        trace_events.extend(spans_to_chrome_events(spans, pid=len(pids) + 1000))
-
     # Extra top-level keys are legal in the trace-event format; viewers
     # ignore "schema".
     return {
@@ -180,24 +113,14 @@ def to_chrome_trace(
     }
 
 
-def write_chrome_trace(
-    events: Iterable[TraceEvent],
-    path: Union[str, Path],
-    spans: Optional[Iterable[Span]] = None,
-) -> Path:
+def write_chrome_trace(events: Iterable[TraceEvent], path: Union[str, Path]) -> Path:
     """Write a Perfetto-loadable Chrome trace JSON file; returns the path."""
     path = Path(path)
     path.write_text(
-        json.dumps(to_chrome_trace(events, spans=spans), separators=(",", ":"))
-        + "\n",
+        json.dumps(to_chrome_trace(events), separators=(",", ":")) + "\n",
         encoding="utf-8",
     )
     return path
-
-
-def write_spans(spans: Iterable[Span], path: Union[str, Path]) -> Path:
-    """Write a span-only Perfetto trace (``repro-sim serve --span-out``)."""
-    return write_chrome_trace([], path, spans=spans)
 
 
 def write_jsonl(events: Iterable[TraceEvent], path: Union[str, Path]) -> Path:

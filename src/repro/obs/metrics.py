@@ -176,6 +176,17 @@ def _instrument_key(name: str, labels: Dict[str, Any]) -> _LabelKey:
     return (name, tuple(sorted(labels.items())))
 
 
+def _by_label(table: Dict[_LabelKey, Any], name: str, label: str) -> Dict[Any, Any]:
+    found: Dict[Any, Any] = {}
+    for (metric_name, labels), instrument in table.items():
+        if metric_name != name:
+            continue
+        for key, value in labels:
+            if key == label:
+                found[value] = instrument
+    return found
+
+
 class MetricsRegistry:
     """Get-or-create registry of labelled instruments.
 
@@ -219,14 +230,16 @@ class MetricsRegistry:
         self, name: str, label: str
     ) -> Dict[Any, LatencyHistogram]:
         """All histograms named ``name``, keyed by their ``label`` value."""
-        found: Dict[Any, LatencyHistogram] = {}
-        for (metric_name, labels), instrument in self._histograms.items():
-            if metric_name != name:
-                continue
-            for key, value in labels:
-                if key == label:
-                    found[value] = instrument
-        return found
+        return _by_label(self._histograms, name, label)
+
+    def counters_by_label(self, name: str, label: str) -> Dict[Any, Counter]:
+        """All counters named ``name``, keyed by their ``label`` value.
+
+        Reads only: unlike :meth:`counter` it creates nothing, and it finds
+        a counter whatever its other labels (a multi-device fabric adds
+        ``device``).
+        """
+        return _by_label(self._counters, name, label)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-compatible dump of every instrument (copy-on-read).

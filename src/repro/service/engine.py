@@ -143,69 +143,14 @@ class ServiceEngine:
         system — the tenant has no page tables, so there is nothing to
         translate.
         """
-        if packet.sid not in self._valid_sids:
-            raise UnknownTenantError(packet.sid)
-        if self._flushed is not None:
-            # Submitting after flush() would double-count the end-of-run
-            # install drain; the server never does this, but fail loudly.
-            raise RuntimeError("ServiceEngine already flushed")
-        sim = self.sim
-        engine = sim.engines[self.device_for_sid(packet.sid)]
-
-        # Outcome capture: deltas of the same live counters the offline
-        # result is built from.
-        stats = sim.packet_stats
-        devtlb = engine.device.devtlb.stats
-        before_accepted = stats.accepted
-        before_retried = stats.retried
-        before_causes = dict(stats.drop_causes)
-        before_hits = devtlb.hits
-        before_misses = devtlb.misses
-        before_count = sim.latency_stats.count
-        before_total = sim.latency_stats.total_ns
-
-        # fetch_next, minus the router: place the packet on the cursor.
-        engine.current_packet = packet
-        engine.current_is_retry = False
-        engine.next_time = engine.clock + engine.wire_time(packet)
-        first_arrival = engine.next_time
-        engine.begin_packet()
-        # The merge loop, specialised to one pending cursor: re-dispatch
-        # this engine at its (advanced) next_time until admission.
-        while True:
-            arrival = engine.next_time
-            if engine.try_admit(arrival):
-                completion = engine.complete_packet(arrival)
-                break
-        self._last_completion = max(self._last_completion, completion)
-        self.processed += 1
-
-        causes: Dict[str, int] = {}
-        for cause, count in stats.drop_causes.items():
-            delta = count - before_causes.get(cause, 0)
-            if delta:
-                causes[cause] = delta
-        return PacketOutcome(
-            sid=packet.sid,
-            accepted=stats.accepted - before_accepted > 0,
-            drop_causes=causes,
-            retried=stats.retried - before_retried,
-            arrival_ns=first_arrival,
-            completion_ns=completion,
-            translations=sim.latency_stats.count - before_count,
-            devtlb_hits=devtlb.hits - before_hits,
-            devtlb_misses=devtlb.misses - before_misses,
-            latency_ns=sim.latency_stats.total_ns - before_total,
-        )
+        return self.submit_batch((packet,))[0]
 
     def submit_batch(self, packets) -> "list[PacketOutcome]":
-        """Run a whole wire read through the model in one call.
+        """Run packets through the model in order; returns their outcomes.
 
-        Semantically identical to calling :meth:`submit` once per packet
-        in order — same structure accesses, same per-packet outcomes —
-        but the attribute lookups and counter captures are hoisted out
-        of the loop, so the server's dispatcher can translate a drained
-        queue batch without per-packet call overhead.
+        The attribute lookups are hoisted out of the per-packet loop, so
+        the server's dispatcher can translate a drained queue batch in
+        one call; :meth:`submit` is the one-packet batch.
 
         Validation is *total*: every SID is checked before any packet
         touches the model, so an :class:`UnknownTenantError` (or the
@@ -214,6 +159,8 @@ class ServiceEngine:
         fails this precheck.
         """
         if self._flushed is not None:
+            # Submitting after flush() would double-count the end-of-run
+            # install drain; the server never does this, but fail loudly.
             raise RuntimeError("ServiceEngine already flushed")
         valid = self._valid_sids
         for packet in packets:
@@ -226,6 +173,8 @@ class ServiceEngine:
         last_completion = self._last_completion
         for packet in packets:
             engine = sim.engines[self.device_for_sid(packet.sid)]
+            # Outcome capture: deltas of the same live counters the
+            # offline result is built from.
             devtlb = engine.device.devtlb.stats
             before_accepted = stats.accepted
             before_retried = stats.retried
@@ -235,11 +184,15 @@ class ServiceEngine:
             before_count = latency_stats.count
             before_total = latency_stats.total_ns
 
+            # fetch_next, minus the router: place the packet on the cursor.
             engine.current_packet = packet
             engine.current_is_retry = False
             engine.next_time = engine.clock + engine.wire_time(packet)
             first_arrival = engine.next_time
             engine.begin_packet()
+            # The merge loop, specialised to one pending cursor:
+            # re-dispatch this engine at its (advanced) next_time until
+            # admission.
             while True:
                 arrival = engine.next_time
                 if engine.try_admit(arrival):

@@ -18,8 +18,8 @@ Requests::
     {"type": "ping"}
 
 The optional ``trace`` field carries a client-side
-:class:`~repro.obs.spans.SpanContext` so the server-side span tree
-(``wire.read -> admission / dispatch -> engine.step``) parents under
+:class:`~repro.obs.tracer.SpanContext` so the server-side span tree
+(``service.wire.read -> admission / dispatch -> engine.step``) parents under
 the caller's span.  It is *feature-negotiated softly*: servers
 advertise ``"features": ["trace", ...]`` in ``hello_ok``, but an old
 server simply ignores the unknown field and an old client simply never
@@ -63,7 +63,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.obs.spans import SpanContext
+from repro.obs.tracer import SpanContext
 
 #: Protocol schema tag; sent in ``hello`` both ways and in ``stats``.
 PROTOCOL_SCHEMA = "repro-service/2"
@@ -370,7 +370,7 @@ def parse_trace_context(message: Dict[str, Any]) -> Optional[SpanContext]:
     """Decode the optional ``trace`` field of a request.
 
     Returns ``None`` when absent (an old client — fully supported), the
-    :class:`~repro.obs.spans.SpanContext` when well-formed, and raises
+    :class:`~repro.obs.tracer.SpanContext` when well-formed, and raises
     :class:`ProtocolError` when present but malformed: a peer that
     *tries* to propagate trace identity deserves a loud failure, not a
     silently unparented span tree.

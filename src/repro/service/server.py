@@ -64,6 +64,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs import events as ev
 from repro.obs.prom import counter_line, gauge_line, registry_to_prom
 from repro.obs.slo import SloSample, SloWatcher
 from repro.service import protocol
@@ -74,12 +75,6 @@ from repro.trace.records import PacketRecord
 #: Dispatched packets between SLO-rule evaluations (cheap, but there is
 #: no reason to re-derive percentiles on every single packet).
 SLO_EVAL_INTERVAL = 16
-
-#: Span names of the server-side request tree, in parent order.
-SPAN_WIRE = "wire.read"
-SPAN_ADMISSION = "admission"
-SPAN_DISPATCH = "dispatch"
-SPAN_ENGINE = "engine.step"
 
 
 @dataclass(frozen=True)
@@ -201,11 +196,12 @@ class ServiceServer:
         Where graceful shutdown flushes the warm-restart snapshot;
         ``None`` disables the snapshot (shutdown still drains cleanly).
     spans:
-        Optional :class:`~repro.obs.spans.SpanRecorder`.  When attached,
-        every translate grows a parented span tree (``wire.read`` ->
-        ``admission`` / ``dispatch`` -> ``engine.step``), rooted under
+        Optional :class:`~repro.obs.tracer.RecordingTracer`.  When
+        attached, every translate records a parented tree of span events
+        (``service.wire.read`` -> ``service.admission`` /
+        ``service.dispatch`` -> ``service.engine.step``), rooted under
         the client's wire-propagated
-        :class:`~repro.obs.spans.SpanContext` when one was sent.
+        :class:`~repro.obs.tracer.SpanContext` when one was sent.
     slo_watcher:
         Optional :class:`~repro.obs.slo.SloWatcher`, evaluated against
         live engine state every :data:`SLO_EVAL_INTERVAL` dispatched
@@ -444,7 +440,7 @@ class ServiceServer:
         dispatch_span = None
         if spans is not None:
             dispatch_span = spans.start(
-                SPAN_DISPATCH, parent=wire_span, sid=packet.sid, seq=seq
+                ev.SERVICE_DISPATCH, parent=wire_span, sid=packet.sid, seq=seq
             )
         try:
             device_id = engine.device_for_sid(packet.sid)
@@ -465,7 +461,7 @@ class ServiceServer:
                         ),
                     )
                     if dispatch_span is not None:
-                        dispatch_span.attrs["outcome"] = "shed"
+                        dispatch_span.args["outcome"] = "shed"
                     return
                 engine.stall_until_drained(
                     device_id, admission.config.low_watermark()
@@ -473,7 +469,7 @@ class ServiceServer:
             step_span = None
             if spans is not None:
                 step_span = spans.start(
-                    SPAN_ENGINE, parent=dispatch_span, sid=packet.sid
+                    ev.SERVICE_ENGINE_STEP, parent=dispatch_span, sid=packet.sid
                 )
             try:
                 outcome = engine.submit(packet)
@@ -488,11 +484,11 @@ class ServiceServer:
                 )
                 if step_span is not None:
                     spans.finish(step_span, error=str(error))
-                    dispatch_span.attrs["outcome"] = "error"
+                    dispatch_span.args["outcome"] = "error"
                 return
             if step_span is not None:
                 spans.finish(step_span, accepted=outcome.accepted)
-                dispatch_span.attrs["outcome"] = outcome.status
+                dispatch_span.args["outcome"] = outcome.status
             admission.release(packet.sid)
             self._record_session_reply(conn, seq, outcome.to_wire(seq))
         finally:
@@ -556,7 +552,9 @@ class ServiceServer:
             message = f"sid {sid} is not a tenant of this service"
         else:
             if spans is not None:
-                admission_span = spans.start(SPAN_ADMISSION, parent=wire_span)
+                admission_span = spans.start(
+                    ev.SERVICE_ADMISSION, parent=wire_span
+                )
                 denied = self.admission.acquire(sid, self._clock())
                 spans.finish(admission_span, verdict=denied or "admitted")
             else:
@@ -570,8 +568,9 @@ class ServiceServer:
                 spans.finish(wire_span, refused=denied)
             return
         if finish_wire and wire_span is not None:
-            # wire.read covers parse + admission; the dispatcher's spans
-            # parent under it by id, so finishing before enqueue is safe.
+            # service.wire.read covers parse + admission; the dispatcher's
+            # spans parent under it by id, so finishing before enqueue is
+            # safe.
             spans.finish(wire_span, queued=True)
         conn.inflight += 1
         self._queue.put_nowait((conn, seq, packet, wire_span))
@@ -844,7 +843,7 @@ class ServiceServer:
             # Root of this request's server-side tree; parents under the
             # client's wire-propagated context when one was sent.
             wire_span = spans.start(
-                SPAN_WIRE,
+                ev.SERVICE_WIRE_READ,
                 trace_id=trace_ctx.trace_id if trace_ctx is not None else None,
                 parent_id=trace_ctx.span_id if trace_ctx is not None else None,
                 sid=sid,
@@ -987,16 +986,13 @@ class ServiceServer:
             histograms = metrics.histograms_by_label(
                 "translation_latency_ns", "sid"
             )
+            hits = metrics.counters_by_label("devtlb.hit", "sid")
+            misses = metrics.counters_by_label("devtlb.miss", "sid")
             for sid in sorted(histograms):
-                histogram = histograms[sid]
                 per_sid[str(sid)] = {
-                    **histogram.summary(),
-                    "devtlb_hits": metrics.counter(
-                        "devtlb.hit", structure="devtlb", sid=sid
-                    ).value,
-                    "devtlb_misses": metrics.counter(
-                        "devtlb.miss", structure="devtlb", sid=sid
-                    ).value,
+                    **histograms[sid].summary(),
+                    "devtlb_hits": hits[sid].value if sid in hits else 0,
+                    "devtlb_misses": misses[sid].value if sid in misses else 0,
                 }
             reply["per_sid"] = per_sid
         if self.slo_watcher is not None:
@@ -1074,7 +1070,7 @@ def build_server(
     process's monotonic epoch).
 
     ``observability`` feeds the engine's simulator as before; its
-    ``spans`` recorder (if any) additionally attaches to the server for
+    ``spans`` tracer (if any) additionally attaches to the server for
     wire-to-engine request trees.  ``slo_rules`` (a list of
     :class:`~repro.obs.slo.SloRule`) arms the SLO watch engine, emitting
     ``slo.*`` events through the bundle's tracer; ``slo_backpressure``

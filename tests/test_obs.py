@@ -262,7 +262,7 @@ class TestExport:
 class TestSimulatorIntegration:
     def test_disabled_observability_changes_nothing(self):
         baseline = _run(base_config())
-        with_null = _run(base_config(), Observability.disabled())
+        with_null = _run(base_config(), Observability())
         assert with_null.achieved_bandwidth_gbps == baseline.achieved_bandwidth_gbps
         assert with_null.latency.count == baseline.latency.count
 

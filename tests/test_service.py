@@ -315,6 +315,43 @@ class TestServerEndToEnd:
             assert summary["p99_ns"] >= summary["p50_ns"]
             assert summary["devtlb_hits"] + summary["devtlb_misses"] > 0
 
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_stats_reads_devtlb_counters_without_creating_any(self, devices):
+        # A multi-device fabric labels the engine's counters with their
+        # device; stats must find them and leave the registry as it was.
+        from repro.core.config import DeviceConfig
+        from repro.obs import Observability
+
+        config = hypertrio_config().with_overrides(
+            devices=DeviceConfig(count=devices)
+        )
+
+        async def run():
+            trace = make_trace(num_tenants=4, packets=200)
+            engine = ServiceEngine(
+                config, trace, observability=Observability.metrics_only()
+            )
+            server = ServiceServer(engine)
+            await server.start()
+            engine.submit_batch(trace.packets)
+            metrics = engine.sim._metrics
+            before = metrics.snapshot()
+            stats = server.stats_reply()
+            after = metrics.snapshot()
+            await server.shutdown()
+            return stats, before, after
+
+        stats, before, after = asyncio.run(run())
+        assert after == before
+        per_sid = stats["per_sid"]
+        assert len(per_sid) == 4
+        for summary in per_sid.values():
+            assert summary["devtlb_misses"] > 0
+            assert (
+                summary["devtlb_hits"] + summary["devtlb_misses"]
+                == summary["count"]
+            )
+
     def test_hello_rejects_unknown_sid(self):
         async def run():
             engine = ServiceEngine(hypertrio_config(), make_trace())

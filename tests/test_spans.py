@@ -1,5 +1,7 @@
 """Span tracing tests: protocol propagation, parenting, byte-identity.
 
+The service records its request tree as span events of a
+:class:`~repro.obs.tracer.RecordingTracer` (``start`` / ``finish``).
 The asyncio pieces run under ``asyncio.run`` inside synchronous tests
 (the environment has no pytest-asyncio).
 """
@@ -11,8 +13,9 @@ import pytest
 
 from repro.core.config import hypertrio_config
 from repro.obs import Observability
-from repro.obs.export import spans_to_chrome_events, to_chrome_trace
-from repro.obs.spans import SpanContext, SpanRecorder
+from repro.obs import events as ev
+from repro.obs.export import to_chrome_trace
+from repro.obs.tracer import RecordingTracer, SpanContext
 from repro.runner.serialize import result_to_dict
 from repro.service import protocol
 from repro.service.client import ServiceClient
@@ -38,6 +41,24 @@ def make_trace(num_tenants=TENANTS, packets=PACKETS):
 def fake_clock(step_ns=10):
     counter = itertools.count(0, step_ns)
     return lambda: next(counter)
+
+
+def by_trace(events):
+    """Finished span events grouped by trace id, in record order."""
+    trees = {}
+    for event in events:
+        trees.setdefault(event.args["trace_id"], []).append(event)
+    return trees
+
+
+TREE_KINDS = sorted(
+    [
+        ev.SERVICE_WIRE_READ,
+        ev.SERVICE_ADMISSION,
+        ev.SERVICE_DISPATCH,
+        ev.SERVICE_ENGINE_STEP,
+    ]
+)
 
 
 class TestSpanContextWire:
@@ -92,33 +113,57 @@ class TestSpanContextWire:
         assert traced["trace"] == {"trace_id": "t9", "span_id": "c9"}
 
 
-class TestSpanRecorder:
+class TestSpanEvents:
     def test_ids_are_deterministic(self):
-        a, b = SpanRecorder(clock=fake_clock()), SpanRecorder(clock=fake_clock())
-        for recorder in (a, b):
-            recorder.finish(recorder.start("x"))
-            recorder.finish(recorder.start("y"))
-        assert [s.span_id for s in a.spans] == [s.span_id for s in b.spans]
-        assert [s.trace_id for s in a.spans] == [s.trace_id for s in b.spans]
+        tracer = RecordingTracer(clock=fake_clock())
+        root = tracer.start("x", sid=2)
+        child = tracer.start("y", parent=root)
+        tracer.finish(child)
+        tracer.finish(root)
+        wire = tracer.start(
+            ev.SERVICE_WIRE_READ, trace_id="t0", parent_id="c0", sid=5
+        )
+        dispatch = tracer.start(ev.SERVICE_DISPATCH, parent=wire)
+        tracer.finish(dispatch)
+        tracer.finish(wire)
+        tracer.finish(tracer.start("x"))
+        # One counter numbers traces and spans: an unparented root takes
+        # its trace id first, then its span id.
+        ids = [
+            (e.args["trace_id"], e.args["span_id"], e.args.get("parent_id"))
+            for e in tracer.events
+        ]
+        assert ids == [
+            ("t1", "s3", "s2"),
+            ("t1", "s2", None),
+            ("t0", "s5", "s4"),
+            ("t0", "s4", "c0"),
+            ("t6", "s7", None),
+        ]
+        assert [(e.ts_ns, e.dur_ns) for e in tracer.events] == [
+            (10, 10), (0, 30), (50, 10), (40, 30), (80, 10),
+        ]
 
     def test_parenting_inherits_trace_and_sid(self):
-        recorder = SpanRecorder(clock=fake_clock())
-        root = recorder.start("wire.read", trace_id="t0", parent_id="c0", sid=5)
-        child = recorder.start("dispatch", parent=root)
-        assert child.trace_id == "t0"
-        assert child.parent_id == root.span_id
+        tracer = RecordingTracer(clock=fake_clock())
+        root = tracer.start(
+            ev.SERVICE_WIRE_READ, trace_id="t0", parent_id="c0", sid=5
+        )
+        child = tracer.start(ev.SERVICE_DISPATCH, parent=root)
+        assert child.args["trace_id"] == "t0"
+        assert child.args["parent_id"] == root.args["span_id"]
         assert child.sid == 5
-        recorder.finish(child)
-        recorder.finish(root, queued=True)
-        assert root.attrs["queued"] is True
+        tracer.finish(child)
+        tracer.finish(root, queued=True)
+        assert root.args["queued"] is True
         assert root.dur_ns > 0
 
-    def test_max_spans_bounds_memory(self):
-        recorder = SpanRecorder(clock=fake_clock(), max_spans=2)
+    def test_max_events_bounds_memory(self):
+        tracer = RecordingTracer(clock=fake_clock(), max_events=2)
         for _ in range(4):
-            recorder.finish(recorder.start("x"))
-        assert len(recorder.spans) == 2
-        assert recorder.dropped_spans == 2
+            tracer.finish(tracer.start("x"))
+        assert len(tracer.events) == 2
+        assert tracer.dropped_events == 2
 
 
 def serve_replay(observability=None, trace_flag=True, packets=PACKETS):
@@ -155,32 +200,35 @@ class TestServiceSpanTree:
 
         spans = server.spans
         assert spans is obs.spans
-        assert len(spans.find("wire.read")) == packets
-        trees = spans.by_trace()
+        assert len(spans.events) == 4 * packets
+        trees = by_trace(spans.events)
         assert len(trees) == packets
         for seq in range(packets):
             # Client ids derive from seq: request n lives in trace "t<n>"
             # under the client span "c<n>" (hex).
             tree = trees[f"t{seq:x}"]
-            names = sorted(span.name for span in tree)
-            assert names == ["admission", "dispatch", "engine.step", "wire.read"]
-            by_name = {span.name: span for span in tree}
-            wire = by_name["wire.read"]
-            assert wire.parent_id == f"c{seq:x}"  # under the client span
-            assert by_name["admission"].parent_id == wire.span_id
-            dispatch = by_name["dispatch"]
-            assert dispatch.parent_id == wire.span_id
-            assert by_name["engine.step"].parent_id == dispatch.span_id
-            assert dispatch.attrs["outcome"] in ("accepted", "dropped")
+            assert sorted(event.kind for event in tree) == TREE_KINDS
+            args = {event.kind: event.args for event in tree}
+            wire = args[ev.SERVICE_WIRE_READ]
+            assert wire["parent_id"] == f"c{seq:x}"  # under the client span
+            assert args[ev.SERVICE_ADMISSION]["parent_id"] == wire["span_id"]
+            dispatch = args[ev.SERVICE_DISPATCH]
+            assert dispatch["parent_id"] == wire["span_id"]
+            step = args[ev.SERVICE_ENGINE_STEP]
+            assert step["parent_id"] == dispatch["span_id"]
+            assert dispatch["outcome"] in ("accepted", "dropped")
 
     def test_old_client_still_gets_server_side_trees(self):
         obs = Observability.profiling()
         server, _, outcomes = serve_replay(observability=obs, trace_flag=False)
         assert len(outcomes) == PACKETS
-        wire_spans = server.spans.find("wire.read")
+        wire_spans = [
+            event for event in server.spans.events
+            if event.kind == ev.SERVICE_WIRE_READ
+        ]
         assert len(wire_spans) == PACKETS
         # No propagated context: the tree roots server-side, unparented.
-        assert all(span.parent_id is None for span in wire_spans)
+        assert all("parent_id" not in span.args for span in wire_spans)
 
     def test_disabled_spans_leave_no_recorder_attached(self):
         server, _, outcomes = serve_replay(
@@ -196,7 +244,7 @@ class TestByteIdentity:
             warmup_packets=0
         )
         disabled = HyperSimulator(
-            hypertrio_config(), make_trace(), observability=Observability.disabled()
+            hypertrio_config(), make_trace(), observability=Observability()
         ).run(warmup_packets=0)
         assert result_to_dict(baseline) == result_to_dict(disabled)
 
@@ -213,30 +261,43 @@ class TestByteIdentity:
 
 class TestSpanExport:
     def test_spans_export_as_complete_events(self):
-        recorder = SpanRecorder(clock=fake_clock(1000))
-        root = recorder.start("wire.read", trace_id="t0", sid=3)
-        child = recorder.start("dispatch", parent=root)
-        recorder.finish(child)
-        recorder.finish(root)
-        open_span = recorder.start("never.finished", trace_id="t0")
-        assert open_span.end_ns is None
+        tracer = RecordingTracer(clock=fake_clock(1000))
+        root = tracer.start(ev.SERVICE_WIRE_READ, trace_id="t0", sid=3)
+        child = tracer.start(ev.SERVICE_DISPATCH, parent=root)
+        tracer.finish(child)
+        tracer.finish(root)
+        tracer.start(ev.SERVICE_ENGINE_STEP, parent=child)  # never finished
 
         events = [
             event
-            for event in spans_to_chrome_events(recorder.spans)
+            for event in to_chrome_trace(tracer.events)["traceEvents"]
             if event["ph"] == "X"
         ]
-        assert len(events) == 2  # open spans are skipped
+        assert len(events) == 2  # open spans are not recorded
         by_name = {event["name"]: event for event in events}
-        assert by_name["dispatch"]["args"]["trace_id"] == "t0"
-        assert by_name["dispatch"]["args"]["parent_id"] == root.span_id
-        assert by_name["wire.read"]["dur"] >= by_name["dispatch"]["dur"]
+        dispatch = by_name[ev.SERVICE_DISPATCH]
+        wire = by_name[ev.SERVICE_WIRE_READ]
+        assert dispatch["args"]["trace_id"] == "t0"
+        assert dispatch["args"]["span_id"] == child.args["span_id"]
+        assert dispatch["args"]["parent_id"] == root.args["span_id"]
+        assert wire["dur"] >= dispatch["dur"]
 
     def test_spans_join_the_chrome_document(self):
-        recorder = SpanRecorder(clock=fake_clock(1000))
-        recorder.finish(recorder.start("wire.read", trace_id="t0", sid=1))
-        document = to_chrome_trace([], spans=recorder.spans)
-        span_events = [
-            event for event in document["traceEvents"] if event.get("ph") == "X"
+        # The span events share the tracer's exporter: one "service"
+        # process, one thread per SID, so each request stays on one track.
+        obs = Observability.profiling()
+        server, _, _ = serve_replay(observability=obs)
+        document = to_chrome_trace(server.spans.events)
+        processes = [
+            record["args"]["name"] for record in document["traceEvents"]
+            if record["name"] == "process_name"
         ]
-        assert len(span_events) == 1
+        assert processes == ["service"]
+        tracks = {}
+        for record in document["traceEvents"]:
+            if record["ph"] == "X":
+                tracks.setdefault(record["args"]["trace_id"], set()).add(
+                    (record["pid"], record["tid"])
+                )
+        assert len(tracks) == PACKETS
+        assert all(len(track) == 1 for track in tracks.values())
