@@ -1018,6 +1018,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; see 'repro-sim list'",
               file=sys.stderr)
         return 2
+    options = RunnerOptions(jobs=args.jobs, max_attempts=args.retries + 1)
+    supervision = SupervisionOptions(
+        checkpoint_every=args.checkpoint_every,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        deadline_s=args.deadline,
+        memory_budget_kb=(
+            args.memory_budget_mb * 1024 if args.memory_budget_mb else None
+        ),
+    )
+    limits = (
+        supervision.deadline_s,
+        supervision.heartbeat_timeout_s,
+        supervision.memory_budget_kb,
+    )
+    if options.effective_jobs <= 1 and any(v is not None for v in limits):
+        print(
+            "--deadline, --heartbeat-timeout and --memory-budget-mb need "
+            f"--jobs 2 or more (this run has {options.effective_jobs} "
+            "worker): an in-process job cannot be killed",
+            file=sys.stderr,
+        )
+        return 2
     runs_dir = Path(args.runs_dir)
     run_id = args.resume or args.run_id or f"{args.experiment}-{scale.name}"
     if args.resume and not (runs_dir / run_id).is_dir():
@@ -1032,19 +1054,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     store.write_manifest(experiment=args.experiment, scale=scale.name)
-    options = RunnerOptions(
-        jobs=args.jobs,
-        timeout_s=args.timeout,
-        max_attempts=args.retries + 1,
-    )
-    supervision = SupervisionOptions(
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        deadline_s=args.deadline,
-        memory_budget_kb=(
-            args.memory_budget_mb * 1024 if args.memory_budget_mb else None
-        ),
-    )
     reporter = ProgressReporter(stream=sys.stderr, enabled=not args.no_progress)
     runner = ExperimentRunner(
         store=store, options=options, reporter=reporter, supervision=supervision
@@ -1619,13 +1628,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="root directory for result stores (default: .repro-runs)",
     )
     run.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-job timeout in seconds (hung workers are killed)",
-    )
-    run.add_argument(
         "--retries", type=int, default=1,
         help="extra attempts per job lost to infrastructure failures — "
-             "crashed or timed-out workers (default: 1); deterministic job "
+             "crashed or killed workers (default: 1); deterministic job "
              "errors fail fast regardless",
     )
     run.add_argument(
@@ -1641,17 +1646,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
         help="watchdog: kill and requeue a worker whose heartbeat is older "
-             "than this (detects silently hung workers; default: off)",
+             "than this (detects silently hung workers; needs --jobs 2 or "
+             "more; default: off)",
     )
     run.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="watchdog: per-job wall-clock deadline; jobs over it are "
-             "killed and requeued under the retry budget (default: off)",
+             "killed and requeued under the retry budget (needs --jobs 2 "
+             "or more; default: off)",
     )
     run.add_argument(
         "--memory-budget-mb", type=int, default=None, metavar="MB",
         help="watchdog: soft per-worker RSS budget; jobs over it are "
-             "killed and requeued under the retry budget (default: off)",
+             "killed and requeued under the retry budget (needs --jobs 2 "
+             "or more; default: off)",
     )
     run.add_argument(
         "--queue", default=None, metavar="PATH",

@@ -17,7 +17,7 @@ Modules:
 * :mod:`repro.runner.spec` — :class:`JobSpec` / :class:`JobResult`, the
   pure, picklable, content-hashed job model
 * :mod:`repro.runner.scheduler` — process-pool scheduler with retries,
-  per-job timeouts, and in-process degradation
+  per-job limits, and in-process degradation
 * :mod:`repro.runner.store` — crash-safe JSON-lines result store + run
   manifest (the memoization and resume layer)
 * :mod:`repro.runner.worker` — worker-process entry points and per-worker
@@ -25,7 +25,7 @@ Modules:
 * :mod:`repro.runner.progress` — jobs done/failed/cached, ETA, per-worker
   throughput telemetry
 * :mod:`repro.runner.supervise` — worker heartbeats, the scheduler-side
-  watchdog, and the interrupt/checkpoint supervision plumbing
+  watchdog checks, and the interrupt/checkpoint supervision plumbing
 * :mod:`repro.runner.orchestrate` — plan/execute/replay bridge that runs
   unmodified experiment drivers in parallel
 * :mod:`repro.runner.queue` — lease-based distributed experiment queue
@@ -50,7 +50,6 @@ from repro.runner.queue import (
 )
 from repro.runner.scheduler import (
     ExperimentRunner,
-    JobTimeoutError,
     RunFailedError,
     RunnerOptions,
     RunStats,
@@ -61,16 +60,11 @@ from repro.runner.store import DEFAULT_RUNS_DIR, ResultStore, list_runs
 from repro.runner.supervise import (
     JobInterrupted,
     SupervisionOptions,
-    Watchdog,
     WatchdogError,
     list_heartbeats,
     read_heartbeat,
 )
-from repro.runner.worker import (
-    execute_job,
-    execute_job_supervised,
-    pool_initializer,
-)
+from repro.runner.worker import execute_job, pool_initializer
 
 __all__ = [
     "JobSpec",
@@ -79,13 +73,11 @@ __all__ = [
     "RunnerOptions",
     "RunStats",
     "RunFailedError",
-    "JobTimeoutError",
     "ResultStore",
     "DEFAULT_RUNS_DIR",
     "list_runs",
     "ProgressReporter",
     "SupervisionOptions",
-    "Watchdog",
     "WatchdogError",
     "JobInterrupted",
     "list_heartbeats",
@@ -104,6 +96,5 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
     "execute_job",
-    "execute_job_supervised",
     "pool_initializer",
 ]

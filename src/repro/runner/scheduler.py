@@ -1,4 +1,4 @@
-"""Parallel job scheduler: process pool, retries, timeouts, degradation.
+"""Parallel job scheduler: process pool, retries, job limits, degradation.
 
 :class:`ExperimentRunner` executes a batch of
 :class:`~repro.runner.spec.JobSpec` jobs with:
@@ -13,15 +13,20 @@
   exponential backoff until its budget is exhausted, at which point the
   worker's exception is surfaced in the
   :class:`~repro.runner.spec.JobResult`.  Infrastructure failures
-  (broken pool, timeout, OS errors) are retryable up to ``max_attempts``;
-  exceptions raised by the job itself are deterministic and budgeted by
-  ``job_error_attempts`` (default 1: a poison job fails fast);
-* **per-job timeouts** — a job past its deadline is declared failed (or
-  re-queued, if attempts remain) and the pool is recycled, which actually
-  kills the hung worker process rather than leaking it;
+  (broken pool, a killed job, OS errors) are retryable up to
+  ``max_attempts``; exceptions raised by the job itself are
+  deterministic and budgeted by ``job_error_attempts`` (default 1: a
+  poison job fails fast);
+* **per-job limits** — the wait loop is the one place that decides a
+  kill: at each wake it checks the in-flight jobs against the
+  :class:`~repro.runner.supervise.SupervisionOptions` limits (deadline,
+  memory budget, heartbeat silence), and a job over one is declared
+  failed (or re-queued, if attempts remain) and the pool is recycled,
+  which kills the worker process rather than leaking it;
 * **graceful degradation** — if the pool keeps breaking (workers dying,
   fork failures), the runner falls back to in-process execution so the
-  run completes, just without parallelism.
+  run completes, just without parallelism.  A kill is not a pool
+  failure and never counts towards it: in-process, no limit applies.
 
 Exactly ``jobs`` futures are kept in flight, so a job's deadline clock
 starts when it genuinely starts running, not while queued behind others.
@@ -38,7 +43,8 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -60,37 +66,24 @@ from repro.runner.supervise import (
     EXIT_INTERRUPTED,
     JobInterrupted,
     SupervisionOptions,
-    Watchdog,
     WatchdogError,
+    scan_inflight,
 )
 from repro.runner.worker import (
     DEFAULT_WORKER_TRACE_CAPACITY,
     execute_job,
-    execute_job_supervised,
     pool_initializer,
 )
 
 
-class JobTimeoutError(RuntimeError):
-    """A job exceeded its per-job timeout and its worker was recycled."""
-
-
-#: Failures of the execution *infrastructure* (a worker died, a job timed
-#: out, the watchdog killed the worker, the OS refused resources) —
-#: transient by nature, so retrying the same job can succeed.  Anything
-#: else is an exception the job itself raised, which is deterministic for
-#: this codebase's pure-function jobs: retrying a poison job burns a full
-#: backoff ladder per spec for nothing, so job-raised errors get their own
-#: (default fail-fast) budget.
-_INFRASTRUCTURE_ERRORS = (BrokenProcessPool, JobTimeoutError, WatchdogError, OSError)
-
-#: Reporter prefixes for watchdog flag causes (the ``watchdog.*`` event
-#: taxonomy from :mod:`repro.obs.events`).
-_WATCHDOG_EVENT_KINDS = {
-    "stale": "watchdog.stale",
-    "deadline": "watchdog.deadline",
-    "memory": "watchdog.memory",
-}
+#: Failures of the execution *infrastructure* (a worker died, a job was
+#: killed over a limit, the OS refused resources) — transient by nature,
+#: so retrying the same job can succeed.  Anything else is an exception
+#: the job itself raised, which is deterministic for this codebase's
+#: pure-function jobs: retrying a poison job burns a full backoff ladder
+#: per spec for nothing, so job-raised errors get their own (default
+#: fail-fast) budget.
+_INFRASTRUCTURE_ERRORS = (BrokenProcessPool, WatchdogError, OSError)
 
 
 class RunFailedError(RuntimeError):
@@ -113,17 +106,18 @@ class RunnerOptions:
 
     ``jobs=0`` means "all cores"; ``jobs=1`` executes in-process with no
     pool at all (also the degradation target).  ``max_attempts`` budgets
-    *infrastructure* failures (broken pool, timeout, OS errors) and
+    *infrastructure* failures (broken pool, a killed job, OS errors) and
     counts the first try, so ``2`` means one retry;
     ``job_error_attempts`` budgets exceptions raised by the job function
     itself — deterministic failures, so the default of 1 fails a poison
     job fast instead of replaying it through the backoff ladder.
-    Timeouts apply only to pooled execution — an in-process job cannot
-    be killed.
+    ``max_pool_restarts`` bounds how often a broken pool is replaced
+    before the run degrades to in-process execution.  The
+    :class:`~repro.runner.supervise.SupervisionOptions` limits apply only
+    to pooled execution — an in-process job cannot be killed.
     """
 
     jobs: int = 0
-    timeout_s: Optional[float] = None
     max_attempts: int = 2
     backoff_s: float = 0.25
     backoff_factor: float = 2.0
@@ -156,9 +150,8 @@ class RunStats:
 class _InFlight:
     spec: JobSpec
     attempt: int
-    deadline: Optional[float]
-    started_mono: float = 0.0
-    started_wall: float = 0.0
+    started_mono: float
+    started_wall: float
 
 
 class ExperimentRunner:
@@ -189,14 +182,13 @@ class ExperimentRunner:
         if supervision is not None:
             if supervision.run_dir is None and store is not None:
                 supervision.run_dir = str(store.directory)
-            # Swap in the supervised worker entry point only when the
-            # caller kept the default job function — custom job functions
-            # (tests, orchestration replay) keep their own behaviour, but
-            # the watchdog still covers them via deadlines.
+            # Supervise the worker only when the caller kept the default
+            # job function — custom job functions (tests, orchestration
+            # replay) keep their own behaviour, but the limits still
+            # cover them via deadlines.
             if supervision.run_dir is not None and job_fn is execute_job:
                 self.job_fn = functools.partial(
-                    execute_job_supervised,
-                    supervision=supervision.worker_payload(),
+                    execute_job, supervision=supervision.worker_payload()
                 )
 
     # ------------------------------------------------------------------
@@ -403,9 +395,15 @@ class ExperimentRunner:
                     process.terminate()
                 except Exception:  # pragma: no cover — already dead
                     pass
+            # A supervised worker turns SIGTERM into a checkpoint request
+            # that it honours only at a packet barrier; one that does not
+            # reach one within a second is killed outright.
             for process in processes:
                 try:
                     process.join(timeout=1.0)
+                    if process.is_alive():
+                        process.kill()
+                        process.join(timeout=1.0)
                 except Exception:  # pragma: no cover
                     pass
 
@@ -444,34 +442,13 @@ class ExperimentRunner:
         self, pending: List[JobSpec], results: Dict[str, JobResult]
     ) -> None:
         opts = self.options
+        supervision = self.supervision
         workers = opts.effective_jobs
         executor: Optional[ProcessPoolExecutor] = self._new_executor(workers)
         restarts = 0
         queue: Deque[Tuple[JobSpec, int]] = deque((spec, 1) for spec in pending)
         retry_heap: List[Tuple[float, int, JobSpec, int]] = []
         inflight: Dict[Future, _InFlight] = {}
-
-        watchdog: Optional[Watchdog] = None
-        supervision = self.supervision
-        if supervision is not None and supervision.watchdog_active:
-
-            def _inflight_snapshot() -> List[Tuple[str, float, float]]:
-                return [
-                    (info.spec.spec_hash, info.started_mono, info.started_wall)
-                    for info in list(inflight.values())
-                ]
-
-            def _on_flag(spec_hash: str, cause: str, detail: str) -> None:
-                kind = _WATCHDOG_EVENT_KINDS.get(cause, "watchdog.kill")
-                self.reporter.event(f"{kind}: job {spec_hash} {detail}")
-
-            watchdog = Watchdog(
-                supervision.run_dir or ".",
-                _inflight_snapshot,
-                supervision,
-                on_flag=_on_flag,
-            )
-            watchdog.start()
 
         def remaining_work() -> List[Tuple[JobSpec, int]]:
             """Drain all queued/retrying/in-flight work (for degradation)."""
@@ -484,11 +461,11 @@ class ExperimentRunner:
                 items.append((spec, attempt))
             return items
 
-        def restart_pool(kill: bool) -> bool:
-            """Recycle the executor; returns True if degraded to in-process."""
+        def restart_pool() -> bool:
+            """Replace a failed pool; returns True if degraded to in-process."""
             nonlocal executor, restarts
             assert executor is not None
-            self._shutdown(executor, kill=kill)
+            self._shutdown(executor, kill=True)
             executor = None
             restarts += 1
             if restarts > opts.max_pool_restarts:
@@ -517,17 +494,13 @@ class ExperimentRunner:
                         queue.appendleft((spec, attempt))
                         for item in remaining_work():
                             queue.append(item)
-                        if restart_pool(kill=True):
+                        if restart_pool():
                             self._run_inline(remaining_work(), results)
                             return
                         self.reporter.event(f"submit failed, pool restarted: {error}")
                         break
                     inflight[future] = _InFlight(
-                        spec,
-                        attempt,
-                        now + opts.timeout_s if opts.timeout_s is not None else None,
-                        started_mono=time.monotonic(),
-                        started_wall=time.time(),
+                        spec, attempt, time.monotonic(), time.time()
                     )
 
                 if not inflight:
@@ -538,13 +511,12 @@ class ExperimentRunner:
                     continue
 
                 wait_timeout = 0.5
-                deadlines = [
-                    info.deadline
-                    for info in inflight.values()
-                    if info.deadline is not None
-                ]
-                if deadlines:
-                    wait_timeout = min(wait_timeout, max(0.01, min(deadlines) - now))
+                if supervision is not None and supervision.deadline_s is not None:
+                    first_start = min(info.started_mono for info in inflight.values())
+                    wait_timeout = min(
+                        wait_timeout,
+                        max(0.01, first_start + supervision.deadline_s - now),
+                    )
                 if retry_heap:
                     wait_timeout = min(
                         wait_timeout, max(0.01, retry_heap[0][0] - now)
@@ -572,81 +544,51 @@ class ExperimentRunner:
                 if pool_broken:
                     for spec, attempt in remaining_work():
                         queue.append((spec, attempt))
-                    if restart_pool(kill=True):
+                    if restart_pool():
                         self._run_inline(remaining_work(), results)
                         return
                     continue
 
-                now = time.monotonic()
-                expired = [
-                    (future, info)
-                    for future, info in inflight.items()
-                    if info.deadline is not None and now >= info.deadline
-                ]
-                if expired:
-                    for future, info in expired:
-                        del inflight[future]
-                        future.cancel()
-                        self._attempt_failed(
-                            info,
-                            JobTimeoutError(
-                                f"job {info.spec.spec_hash} ({info.spec.label}) "
-                                f"timed out after {opts.timeout_s}s"
-                            ),
-                            retry_heap,
-                            results,
-                        )
-                    # The hung workers are still burning CPU: recycle the
-                    # pool to actually kill them, re-queueing the innocent
-                    # in-flight jobs at their current attempt.
-                    for spec, attempt in remaining_work():
-                        queue.append((spec, attempt))
-                    if queue or retry_heap:
-                        if restart_pool(kill=True):
-                            self._run_inline(remaining_work(), results)
-                            return
-                    else:
-                        self._shutdown(executor, kill=True)
-                        executor = None
+                if supervision is None or not inflight:
                     continue
-
-                if watchdog is None or not inflight:
+                flags = scan_inflight(
+                    Path(supervision.run_dir or "."),
+                    [
+                        (info.spec.spec_hash, info.started_mono, info.started_wall)
+                        for info in inflight.values()
+                    ],
+                    supervision,
+                )
+                if not flags:
                     continue
-                flags = watchdog.take_flags()
-                flagged = [
-                    (future, info)
-                    for future, info in inflight.items()
-                    if info.spec.spec_hash in flags
-                ]
-                if flagged:
-                    for future, info in flagged:
-                        del inflight[future]
-                        future.cancel()
-                        cause = flags[info.spec.spec_hash]
-                        self._attempt_failed(
-                            info,
-                            WatchdogError(
-                                f"job {info.spec.spec_hash} ({info.spec.label}) "
-                                f"killed by watchdog ({cause})",
-                                cause=cause,
-                            ),
-                            retry_heap,
-                            results,
-                        )
-                    # Like the timeout path: recycling the pool is the
-                    # only way to actually kill a wedged worker.  The
-                    # requeued job resumes from its last checkpoint.
-                    for spec, attempt in remaining_work():
-                        queue.append((spec, attempt))
-                    if queue or retry_heap:
-                        if restart_pool(kill=True):
-                            self._run_inline(remaining_work(), results)
-                            return
-                    else:
-                        self._shutdown(executor, kill=True)
-                        executor = None
+                for future, info in list(inflight.items()):
+                    if info.spec.spec_hash not in flags:
+                        continue
+                    del inflight[future]
+                    future.cancel()
+                    cause, detail = flags[info.spec.spec_hash]
+                    self.reporter.event(
+                        f"watchdog.{cause}: job {info.spec.spec_hash} {detail}"
+                    )
+                    self._attempt_failed(
+                        info,
+                        WatchdogError(
+                            f"job {info.spec.spec_hash} ({info.spec.label}) "
+                            f"killed by watchdog ({cause})",
+                            cause=cause,
+                        ),
+                        retry_heap,
+                        results,
+                    )
+                # Recycling the pool is the only way to kill a pool worker.
+                # Innocent in-flight jobs are re-queued at their current
+                # attempt, and a killed job's retry resumes from its last
+                # checkpoint.  Not a pool failure, so not counted by
+                # restart_pool: degrading would run jobs no limit applies to.
+                for spec, attempt in remaining_work():
+                    queue.append((spec, attempt))
+                self._shutdown(executor, kill=True)
+                executor = self._new_executor(workers) if queue else None
         finally:
-            if watchdog is not None:
-                watchdog.stop()
             if executor is not None:
                 self._shutdown(executor, kill=bool(inflight))

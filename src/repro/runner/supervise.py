@@ -8,14 +8,15 @@ wedged looks exactly like a slow job.  This module closes that gap:
   thread that periodically writes an atomic JSON record (job hash, pid,
   packets done, current RSS, last checkpoint) into
   ``<run-dir>/heartbeats/``;
-* the scheduler process runs a :class:`Watchdog` thread that reads those
-  records for every in-flight job and flags jobs whose heartbeat went
-  silent (``heartbeat_timeout_s``), whose wall clock exceeded their
-  deadline (``deadline_s``), or whose RSS crossed the soft memory budget
-  (``memory_budget_kb``).  The scheduler terminates flagged jobs (pool
-  recycle — the only way to actually kill a pool worker) and requeues
-  them under the existing infrastructure-retry budget; a requeued job
-  resumes from its last checkpoint instead of starting over.
+* the scheduler's wait loop calls :func:`scan_inflight` at each wake,
+  which reads those records for every in-flight job and flags jobs
+  whose wall clock exceeded their deadline (``deadline_s``), whose RSS
+  crossed the soft memory budget (``memory_budget_kb``), or whose
+  heartbeat went silent (``heartbeat_timeout_s``).  The scheduler kills
+  flagged jobs (pool recycle — the only way to actually kill a pool
+  worker) and requeues them under the existing infrastructure-retry
+  budget; a requeued job resumes from its last checkpoint instead of
+  starting over.
 
 Interrupts ride the same machinery: SIGTERM/SIGINT in a supervised
 worker set the checkpoint module's interrupt flag, the simulation
@@ -37,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 HEARTBEAT_DIR = "heartbeats"
 CHECKPOINT_DIR = "checkpoints"
@@ -111,8 +112,8 @@ class SupervisionOptions:
     """Per-run supervision configuration (scheduler + worker halves).
 
     ``run_dir`` is where heartbeats and per-job checkpoints live — the
-    runner defaults it to the result store's directory.  Watchdog checks
-    are individually optional: leave a knob ``None`` to skip that check
+    runner defaults it to the result store's directory.  The limits are
+    individually optional: leave a knob ``None`` to skip that check
     (heartbeats are still written; they cost one small atomic write per
     ``heartbeat_interval_s``).
     """
@@ -123,7 +124,6 @@ class SupervisionOptions:
     heartbeat_timeout_s: Optional[float] = None
     deadline_s: Optional[float] = None
     memory_budget_kb: Optional[int] = None
-    watchdog_poll_s: float = 0.25
 
     def worker_payload(self) -> Dict[str, Any]:
         """The picklable subset a worker process needs."""
@@ -132,14 +132,6 @@ class SupervisionOptions:
             "checkpoint_every": self.checkpoint_every,
             "heartbeat_interval_s": self.heartbeat_interval_s,
         }
-
-    @property
-    def watchdog_active(self) -> bool:
-        return (
-            self.heartbeat_timeout_s is not None
-            or self.deadline_s is not None
-            or self.memory_budget_kb is not None
-        )
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +275,7 @@ class HeartbeatWriter:
 
 
 # ----------------------------------------------------------------------
-# Watchdog (scheduler side)
+# Watchdog checks (scheduler side)
 # ----------------------------------------------------------------------
 def _beat_is_local(beat: Dict[str, Any]) -> bool:
     """Was this heartbeat written on this machine (monotonic comparable)?
@@ -313,120 +305,73 @@ def heartbeat_silence_s(
     return time.time() - beat.get("updated_at", 0.0)
 
 
-class Watchdog:
-    """Background thread flagging silent, overdue, or oversized jobs.
+def scan_inflight(
+    run_dir: Path,
+    inflight: Iterable[Tuple[str, float, float]],
+    options: SupervisionOptions,
+) -> Dict[str, Tuple[str, str]]:
+    """Check each running job against ``options``' limits.
 
-    ``inflight_fn`` is polled each cycle and must return the currently
-    running jobs as ``(spec_hash, started_monotonic, started_wall)``
-    triples.  Flag causes are ``"stale"``, ``"deadline"``, ``"memory"``;
-    the scheduler drains them with :meth:`take_flags` and requeues the
-    jobs.  Heartbeats older than the job's own start time are ignored, so
-    a leftover record from a previous attempt can never kill the retry.
+    ``inflight`` holds ``(spec_hash, started_monotonic, started_wall)``
+    triples; the result maps each job over a limit to ``(cause,
+    detail)``, with cause ``"deadline"``, ``"memory"`` or ``"stale"``
+    (checked in that order).  Heartbeats older than the job's own start
+    time are ignored, so a leftover record from a previous attempt can
+    never kill the retry.
     """
-
-    def __init__(
-        self,
-        run_dir: Path,
-        inflight_fn: Callable[[], Iterable[Tuple[str, float, float]]],
-        options: SupervisionOptions,
-        on_flag: Optional[Callable[[str, str, str], None]] = None,
-    ):
-        self.run_dir = Path(run_dir)
-        self.inflight_fn = inflight_fn
-        self.options = options
-        self.on_flag = on_flag
-        self._flags: Dict[str, str] = {}
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._loop, name="runner-watchdog", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.options.watchdog_poll_s):
-            try:
-                self.scan()
-            except Exception:  # pragma: no cover — watchdog must not die
-                pass
-
-    # -- checks --------------------------------------------------------
-    def scan(self) -> None:
-        """One scan over the in-flight jobs (public for tests)."""
-        opts = self.options
-        for spec_hash, started_mono, started_wall in list(self.inflight_fn()):
-            with self._lock:
-                if spec_hash in self._flags:
-                    continue
-            now_mono = time.monotonic()
-            if (
-                opts.deadline_s is not None
-                and now_mono - started_mono > opts.deadline_s
-            ):
-                self._flag(
-                    spec_hash, "deadline",
-                    f"exceeded {opts.deadline_s:g}s wall-clock deadline",
-                )
-                continue
-            beat = read_heartbeat(self.run_dir, spec_hash)
-            # A heartbeat predating this attempt belongs to a previous
-            # (killed) attempt of the same job: treat it as absent.  The
-            # comparison uses the monotonic pair when the record carries
-            # one (and was written on this host), so a wall-clock step
-            # between attempts cannot resurrect — or falsely bury — it.
+    flags: Dict[str, Tuple[str, str]] = {}
+    for spec_hash, started_mono, started_wall in inflight:
+        now_mono = time.monotonic()
+        if (
+            options.deadline_s is not None
+            and now_mono - started_mono > options.deadline_s
+        ):
+            flags[spec_hash] = (
+                "deadline",
+                f"exceeded {options.deadline_s:g}s wall-clock deadline",
+            )
+            continue
+        if options.memory_budget_kb is None and options.heartbeat_timeout_s is None:
+            continue
+        beat = read_heartbeat(run_dir, spec_hash)
+        # A heartbeat predating this attempt belongs to a previous
+        # (killed) attempt of the same job: treat it as absent.  The
+        # comparison uses the monotonic pair when the record carries
+        # one (and was written on this host), so a wall-clock step
+        # between attempts cannot resurrect — or falsely bury — it.
+        if beat is not None:
+            if "updated_mono" in beat and _beat_is_local(beat):
+                stale_attempt = beat["updated_mono"] < started_mono
+            else:
+                stale_attempt = beat.get("updated_at", 0.0) < started_wall
+            if stale_attempt:
+                beat = None
+        if (
+            options.memory_budget_kb is not None
+            and beat is not None
+            and (beat.get("rss_kb") or 0) > options.memory_budget_kb
+        ):
+            flags[spec_hash] = (
+                "memory",
+                f"RSS {beat['rss_kb']} KiB over the "
+                f"{options.memory_budget_kb} KiB budget",
+            )
+            continue
+        if options.heartbeat_timeout_s is not None:
+            # Monotonic-anchored staleness: a host wall-clock step
+            # (NTP slew, manual set) can neither falsely kill a
+            # healthy worker nor immortalize a wedged one.
             if beat is not None:
-                if "updated_mono" in beat and _beat_is_local(beat):
-                    stale_attempt = beat["updated_mono"] < started_mono
-                else:
-                    stale_attempt = beat.get("updated_at", 0.0) < started_wall
-                if stale_attempt:
-                    beat = None
-            if (
-                opts.memory_budget_kb is not None
-                and beat is not None
-                and (beat.get("rss_kb") or 0) > opts.memory_budget_kb
-            ):
-                self._flag(
-                    spec_hash, "memory",
-                    f"RSS {beat['rss_kb']} KiB over the "
-                    f"{opts.memory_budget_kb} KiB budget",
+                silent_s = heartbeat_silence_s(beat, now_mono)
+            else:
+                silent_s = now_mono - started_mono
+            if silent_s > options.heartbeat_timeout_s:
+                flags[spec_hash] = (
+                    "stale",
+                    f"heartbeat silent for {silent_s:.1f}s "
+                    f"(timeout {options.heartbeat_timeout_s:g}s)",
                 )
-                continue
-            if opts.heartbeat_timeout_s is not None:
-                # Monotonic-anchored staleness: a host wall-clock step
-                # (NTP slew, manual set) can neither falsely kill a
-                # healthy worker nor immortalize a wedged one.
-                if beat is not None:
-                    silent_s = heartbeat_silence_s(beat, now_mono)
-                else:
-                    silent_s = now_mono - started_mono
-                if silent_s > opts.heartbeat_timeout_s:
-                    self._flag(
-                        spec_hash, "stale",
-                        f"heartbeat silent for {silent_s:.1f}s "
-                        f"(timeout {opts.heartbeat_timeout_s:g}s)",
-                    )
-
-    def _flag(self, spec_hash: str, cause: str, detail: str) -> None:
-        with self._lock:
-            self._flags[spec_hash] = cause
-        if self.on_flag is not None:
-            self.on_flag(spec_hash, cause, detail)
-
-    def take_flags(self) -> Dict[str, str]:
-        """Drain pending flags (``spec_hash -> cause``); clears them."""
-        with self._lock:
-            flags, self._flags = self._flags, {}
-        return flags
+    return flags
 
 
 def list_heartbeats(run_dir: Path) -> List[Dict[str, Any]]:

@@ -19,12 +19,21 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional
 
 from repro.analysis import sweeps
 from repro.faults.plan import plan_from_dict
 from repro.runner.serialize import result_to_dict
 from repro.runner.spec import JobSpec
+from repro.runner.supervise import (
+    EXIT_COMPLETED,
+    HeartbeatWriter,
+    JobInterrupted,
+    checkpoint_path_for,
+    rss_peak_kb,
+)
+from repro.sim import checkpoint as ckpt
 
 #: Default per-worker trace-cache capacity.  Deliberately smaller than the
 #: in-process default (8): a pool holds one cache *per worker*.
@@ -62,94 +71,88 @@ def job_metrics_summary(result) -> Dict[str, Any]:
     }
 
 
-def execute_job(spec: JobSpec) -> Dict[str, Any]:
-    """Run one sweep point and return its payload (the default job fn)."""
+def execute_job(
+    spec: JobSpec, supervision: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """Run one sweep point and return its payload (the default job fn).
+
+    With ``supervision`` (a plain dict, see
+    :meth:`repro.runner.supervise.SupervisionOptions.worker_payload`) the
+    point runs under heartbeat + checkpoint supervision
+    (:func:`_run_supervised`) and the payload adds its exit cause and
+    peak RSS; the scheduler ships ``functools.partial(execute_job,
+    supervision=...)``.
+    """
     start = time.perf_counter()
     config = spec.arch_config()
     scale = spec.run_scale()
     fault_plan = None
     if spec.fault_plan is not None:
         fault_plan = plan_from_dict(dict(spec.fault_plan))
-    point = sweeps.run_point(
-        config,
-        spec.benchmark,
-        spec.num_tenants,
-        spec.interleaving,
-        scale,
-        native=spec.native,
-        seed=spec.seed,
-        fault_plan=fault_plan,
-    )
+
+    def run_point(**checkpointing: Any) -> sweeps.SweepPoint:
+        return sweeps.run_point(
+            config,
+            spec.benchmark,
+            spec.num_tenants,
+            spec.interleaving,
+            scale,
+            native=spec.native,
+            seed=spec.seed,
+            fault_plan=fault_plan,
+            **checkpointing,
+        )
+
+    supervised: Dict[str, Any] = {}
+    if supervision is None:
+        point = run_point()
+    else:
+        point = _run_supervised(spec, supervision, run_point)
+        supervised = {"exit_cause": EXIT_COMPLETED, "rss_peak_kb": rss_peak_kb()}
     return {
         "result": result_to_dict(point.result),
         "duration_s": time.perf_counter() - start,
         "pid": os.getpid(),
         "trace_cache": sweeps.trace_cache_stats().as_dict(),
         "metrics": job_metrics_summary(point.result),
+        **supervised,
     }
 
 
-def execute_job_supervised(
-    spec: JobSpec, supervision: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Like :func:`execute_job`, under heartbeat + checkpoint supervision.
+def _run_supervised(
+    spec: JobSpec,
+    supervision: Dict[str, Any],
+    run_point: Callable[..., sweeps.SweepPoint],
+) -> sweeps.SweepPoint:
+    """Call ``run_point`` with heartbeats and per-job checkpoints.
 
-    Shipped to workers as ``functools.partial(execute_job_supervised,
-    supervision=...)`` with ``supervision`` a plain dict (see
-    :meth:`repro.runner.supervise.SupervisionOptions.worker_payload`).
-
-    On entry: clears any stale interrupt flag, routes SIGTERM/SIGINT to
-    the cooperative interrupt (so pool teardown flushes a final
-    snapshot), starts the heartbeat thread, and — if a checkpoint from a
-    previous killed attempt exists — resumes from it instead of starting
-    over (a corrupt or version-mismatched snapshot is discarded and the
-    point re-runs from scratch).  On success the job's checkpoint is
-    deleted; on interrupt it is kept and the worker raises
-    :class:`~repro.runner.supervise.JobInterrupted`.
+    Clears any stale interrupt flag, routes SIGTERM/SIGINT to the
+    cooperative interrupt (so pool teardown flushes a final snapshot),
+    starts the heartbeat thread, and — if a checkpoint from a previous
+    killed attempt exists — resumes from it instead of starting over (a
+    corrupt or version-mismatched snapshot is discarded and the point
+    re-runs from scratch).  On success the job's checkpoint is deleted;
+    on interrupt it is kept and :class:`JobInterrupted` is raised.
     """
-    from pathlib import Path
-
-    from repro.runner.supervise import (
-        HeartbeatWriter,
-        JobInterrupted,
-        checkpoint_path_for,
-        rss_peak_kb,
-    )
-    from repro.sim import checkpoint as ckpt
-
     run_dir = Path(supervision["run_dir"])
-    checkpoint_every = int(supervision.get("checkpoint_every", 0) or 0)
-    interval_s = float(supervision.get("heartbeat_interval_s", 0.5))
     ckpt_path = checkpoint_path_for(run_dir, spec.spec_hash)
-
-    start = time.perf_counter()
-    config = spec.arch_config()
-    scale = spec.run_scale()
-    fault_plan = None
-    if spec.fault_plan is not None:
-        fault_plan = plan_from_dict(dict(spec.fault_plan))
-
-    heartbeat = HeartbeatWriter(run_dir, spec.spec_hash, interval_s=interval_s)
+    heartbeat = HeartbeatWriter(
+        run_dir,
+        spec.spec_hash,
+        interval_s=float(supervision.get("heartbeat_interval_s", 0.5)),
+    )
+    checkpointing = {
+        "checkpoint_every": int(supervision.get("checkpoint_every", 0) or 0),
+        "checkpoint_path": ckpt_path,
+        "checkpoint_hook": heartbeat.note_checkpoint,
+    }
     ckpt.clear_interrupt()
     previous_handlers = ckpt.install_signal_handlers()
     heartbeat.start()
     try:
         resume_from = ckpt_path if ckpt_path.exists() else None
         try:
-            point = sweeps.run_point(
-                config,
-                spec.benchmark,
-                spec.num_tenants,
-                spec.interleaving,
-                scale,
-                native=spec.native,
-                seed=spec.seed,
-                fault_plan=fault_plan,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=ckpt_path,
-                checkpoint_hook=heartbeat.note_checkpoint,
-                resume_from=resume_from,
-            )
+            point = run_point(resume_from=resume_from, **checkpointing)
         except ckpt.CheckpointError:
             if resume_from is None:
                 raise
@@ -160,19 +163,7 @@ def execute_job_supervised(
                 ckpt_path.unlink()
             except OSError:
                 pass
-            point = sweeps.run_point(
-                config,
-                spec.benchmark,
-                spec.num_tenants,
-                spec.interleaving,
-                scale,
-                native=spec.native,
-                seed=spec.seed,
-                fault_plan=fault_plan,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=ckpt_path,
-                checkpoint_hook=heartbeat.note_checkpoint,
-            )
+            point = run_point(**checkpointing)
     except ckpt.SimulationInterrupted as error:
         heartbeat.stop(status="interrupted")
         raise JobInterrupted(
@@ -188,12 +179,4 @@ def execute_job_supervised(
     except OSError:
         pass
     heartbeat.stop(status="completed")
-    return {
-        "result": result_to_dict(point.result),
-        "duration_s": time.perf_counter() - start,
-        "pid": os.getpid(),
-        "trace_cache": sweeps.trace_cache_stats().as_dict(),
-        "metrics": job_metrics_summary(point.result),
-        "exit_cause": "completed",
-        "rss_peak_kb": rss_peak_kb(),
-    }
+    return point

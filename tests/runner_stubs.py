@@ -24,10 +24,24 @@ def failing_job(spec):
 
 
 def hang_job(spec):
-    """Hangs forever for the 'hang' benchmark, succeeds otherwise."""
+    """Hangs for the 'hang' benchmark (``hang_s`` in the spec's config,
+    default 120 s), succeeds otherwise."""
     if spec.benchmark == "hang":
-        time.sleep(120)
+        time.sleep(spec.config.get("hang_s", 120))
     return ok_job(spec)
+
+
+def sigterm_trapping_hang_job(spec):
+    """:func:`hang_job` behind the supervised worker's signal handlers.
+
+    SIGTERM only sets the checkpoint module's interrupt flag, which a
+    supervised job reads at its next packet barrier; this job has none,
+    so a terminated worker keeps sleeping.
+    """
+    from repro.sim import checkpoint
+
+    checkpoint.install_signal_handlers()
+    return hang_job(spec)
 
 
 def fail_once_job(spec):

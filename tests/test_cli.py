@@ -37,7 +37,7 @@ class TestParser:
         assert args.jobs == 0  # all cores
         assert args.run_id is None and args.resume is None
         assert args.runs_dir == ".repro-runs"
-        assert args.retries == 1 and args.timeout is None
+        assert args.retries == 1 and args.deadline is None
 
     def test_run_requires_experiment(self):
         with pytest.raises(SystemExit):
@@ -366,6 +366,18 @@ class TestRunCommand:
         ])
         assert code == 2
         assert "no run directory" in capsys.readouterr().err
+
+    def test_limits_need_a_pool(self, capsys, tmp_path):
+        """An in-process job cannot be killed, so a limit with one worker
+        is refused instead of silently never applying."""
+        code = main([
+            "run", "--experiment", "figure9", "--jobs", "1",
+            "--scale", "smoke", "--runs-dir", str(tmp_path),
+            "--deadline", "0.01", "--no-progress",
+        ])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_parallel_run_then_fully_cached_rerun(self, capsys, tmp_path,
                                                   monkeypatch):

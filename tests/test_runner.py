@@ -24,14 +24,17 @@ from repro.core.config import base_config, hypertrio_config
 from repro.runner import (
     ExperimentRunner,
     JobSpec,
+    ProgressReporter,
     ResultStore,
     RunFailedError,
     RunnerOptions,
+    SupervisionOptions,
     list_runs,
     plan_driver,
     result_from_dict,
     result_to_dict,
 )
+from repro.runner.supervise import EXIT_DEADLINE
 
 from tests import runner_stubs
 
@@ -48,6 +51,16 @@ def make_spec(benchmark="stub", seed=0, **config):
         max_packets=100,
         seed=seed,
     )
+
+
+def surviving_workers(before, grace_s=2.0):
+    """Child processes not in ``before`` still alive after ``grace_s``."""
+    deadline = time.monotonic() + grace_s
+    leftover = set(multiprocessing.active_children()) - before
+    while leftover and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leftover = set(multiprocessing.active_children()) - before
+    return leftover
 
 
 @pytest.fixture
@@ -251,7 +264,8 @@ class TestRetryAndTimeout:
             make_spec(seed=3),
         ]
         runner = ExperimentRunner(
-            options=RunnerOptions(jobs=2, timeout_s=1.0, max_attempts=1),
+            options=RunnerOptions(jobs=2, max_attempts=1),
+            supervision=SupervisionOptions(deadline_s=1.0),
             job_fn=runner_stubs.hang_job,
         )
         before = set(multiprocessing.active_children())
@@ -260,18 +274,52 @@ class TestRetryAndTimeout:
         elapsed = time.monotonic() - started
         by_seed = {r.spec["seed"]: r for r in results}
         assert by_seed[1].status == "failed"
-        assert "timed out" in by_seed[1].error
+        assert by_seed[1].exit_cause == EXIT_DEADLINE
         assert by_seed[2].ok and by_seed[3].ok
         # Far below the 120s hang: the worker was killed, not awaited.
         assert elapsed < 30
         # ...and no worker of this run outlives it: the hung one is
         # terminated rather than left to finish its sleep.
-        deadline = time.monotonic() + 2.0
-        leftover = set(multiprocessing.active_children()) - before
-        while leftover and time.monotonic() < deadline:
-            time.sleep(0.05)
-            leftover = set(multiprocessing.active_children()) - before
-        assert not leftover
+        assert not surviving_workers(before)
+
+    def test_kill_stops_worker_that_traps_sigterm(self):
+        """A supervised worker turns SIGTERM into a checkpoint request it
+        reads only at a packet barrier; a worker that never reaches one
+        must still die, or it outlives the run and the interpreter's
+        exit waits on it forever."""
+        runner = ExperimentRunner(
+            options=RunnerOptions(jobs=2, max_attempts=1),
+            supervision=SupervisionOptions(deadline_s=0.5),
+            job_fn=runner_stubs.sigterm_trapping_hang_job,
+        )
+        before = set(multiprocessing.active_children())
+        try:
+            result = runner.run([make_spec(benchmark="hang", seed=1)])[0]
+            assert result.status == "failed"
+            assert result.exit_cause == EXIT_DEADLINE
+            assert not surviving_workers(before)
+        finally:
+            for process in set(multiprocessing.active_children()) - before:
+                process.kill()
+                process.join(timeout=5.0)
+
+    def test_kills_never_degrade_to_in_process(self):
+        """A kill recycles the pool but is not a pool failure: however
+        many kill rounds a run takes, every job is still killed at its
+        limit instead of hanging in-process, where nothing can kill it."""
+        events = []
+        reporter = ProgressReporter(enabled=False)
+        reporter.event = events.append
+        specs = [make_spec(benchmark="hang", seed=i, hang_s=10) for i in range(7)]
+        runner = ExperimentRunner(
+            options=RunnerOptions(jobs=2, max_attempts=1),
+            supervision=SupervisionOptions(deadline_s=0.5),
+            reporter=reporter,
+            job_fn=runner_stubs.hang_job,
+        )
+        results = runner.run(specs)
+        assert [r.exit_cause for r in results] == [EXIT_DEADLINE] * 7
+        assert not any("degrading" in event for event in events)
 
 
 # ----------------------------------------------------------------------

@@ -3,16 +3,17 @@
 Companion to ``tests/test_chaos.py`` (which attacks the *processes*);
 this module pins the supervision mechanics deterministically: heartbeat
 records and their atomic updates, each watchdog check in isolation (via
-direct ``scan()`` calls with synthetic in-flight tables), the stale-
-heartbeat-from-a-previous-attempt guard, scheduler integration (deadline
-kills consume the infra-retry budget; cooperative interrupts become
-``interrupted`` records that are never memoized), and the manifest's
-supervision summary.
+direct ``scan_inflight`` calls with synthetic in-flight tables), the
+stale-heartbeat-from-a-previous-attempt guard, scheduler integration
+(deadline kills consume the infra-retry budget; cooperative interrupts
+become ``interrupted`` records that are never memoized), and the
+manifest's supervision summary.
 """
 
 import json
 import pickle
 import time
+from unittest.mock import ANY
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.runner import (
     ResultStore,
     RunnerOptions,
     SupervisionOptions,
-    Watchdog,
     WatchdogError,
     list_heartbeats,
     read_heartbeat,
@@ -38,6 +38,7 @@ from repro.runner.supervise import (
     heartbeat_path,
     rss_kb,
     rss_peak_kb,
+    scan_inflight,
 )
 
 from tests import runner_stubs
@@ -107,35 +108,23 @@ class TestHeartbeat:
 # Watchdog checks in isolation
 # ----------------------------------------------------------------------
 
-def make_watchdog(tmp_path, inflight, **options):
-    flagged = []
-    dog = Watchdog(
-        tmp_path,
-        lambda: inflight,
-        SupervisionOptions(**options),
-        on_flag=lambda h, cause, detail: flagged.append((h, cause, detail)),
-    )
-    return dog, flagged
+def scan(tmp_path, inflight, **options):
+    return scan_inflight(tmp_path, inflight, SupervisionOptions(**options))
 
 
 class TestWatchdog:
     def test_deadline_flags_overdue_job(self, tmp_path):
         inflight = [("job1", time.monotonic() - 10.0, time.time() - 10.0)]
-        dog, flagged = make_watchdog(tmp_path, inflight, deadline_s=5.0)
-        dog.scan()
-        assert dog.take_flags() == {"job1": "deadline"}
-        assert flagged[0][1] == "deadline"
-        # Flags drain once.
-        assert dog.take_flags() == {}
+        flags = scan(tmp_path, inflight, deadline_s=5.0)
+        assert flags == {"job1": ("deadline", ANY)}
 
     def test_fresh_job_not_flagged(self, tmp_path):
         inflight = [("job1", time.monotonic(), time.time())]
-        dog, _ = make_watchdog(
+        flags = scan(
             tmp_path, inflight,
             deadline_s=60.0, heartbeat_timeout_s=60.0, memory_budget_kb=10**9,
         )
-        dog.scan()
-        assert dog.take_flags() == {}
+        assert flags == {}
 
     def test_stale_heartbeat_flags(self, tmp_path):
         started_wall = time.time() - 30.0
@@ -147,15 +136,13 @@ class TestWatchdog:
             json.dumps({"spec_hash": "job1", "updated_at": started_wall + 1.0}),
             encoding="utf-8",
         )
-        dog, _ = make_watchdog(tmp_path, inflight, heartbeat_timeout_s=5.0)
-        dog.scan()
-        assert dog.take_flags() == {"job1": "stale"}
+        flags = scan(tmp_path, inflight, heartbeat_timeout_s=5.0)
+        assert flags == {"job1": ("stale", ANY)}
 
     def test_missing_heartbeat_counts_from_start(self, tmp_path):
         inflight = [("job1", time.monotonic() - 30.0, time.time() - 30.0)]
-        dog, _ = make_watchdog(tmp_path, inflight, heartbeat_timeout_s=5.0)
-        dog.scan()
-        assert dog.take_flags() == {"job1": "stale"}
+        flags = scan(tmp_path, inflight, heartbeat_timeout_s=5.0)
+        assert flags == {"job1": ("stale", ANY)}
 
     def test_previous_attempt_heartbeat_cannot_kill_retry(self, tmp_path):
         """A leftover record from a killed attempt predates the retry's
@@ -170,11 +157,10 @@ class TestWatchdog:
                         "rss_kb": 10**9}),
             encoding="utf-8",
         )
-        dog, _ = make_watchdog(
+        flags = scan(
             tmp_path, inflight, heartbeat_timeout_s=5.0, memory_budget_kb=1000
         )
-        dog.scan()
-        assert dog.take_flags() == {}
+        assert flags == {}
 
     def test_clock_step_cannot_falsely_kill(self, tmp_path):
         """A backwards wall-clock step makes ``updated_at`` look ancient,
@@ -194,9 +180,8 @@ class TestWatchdog:
             }),
             encoding="utf-8",
         )
-        dog, _ = make_watchdog(tmp_path, inflight, heartbeat_timeout_s=5.0)
-        dog.scan()
-        assert dog.take_flags() == {}
+        flags = scan(tmp_path, inflight, heartbeat_timeout_s=5.0)
+        assert flags == {}
 
     def test_clock_step_cannot_immortalize(self, tmp_path):
         """A forwards wall-clock step makes ``updated_at`` look fresh
@@ -216,9 +201,8 @@ class TestWatchdog:
             }),
             encoding="utf-8",
         )
-        dog, _ = make_watchdog(tmp_path, inflight, heartbeat_timeout_s=5.0)
-        dog.scan()
-        assert dog.take_flags() == {"job1": "stale"}
+        flags = scan(tmp_path, inflight, heartbeat_timeout_s=5.0)
+        assert flags == {"job1": ("stale", ANY)}
 
     def test_previous_attempt_guard_uses_monotonic(self, tmp_path):
         """The stale-attempt guard compares monotonic instants when the
@@ -242,11 +226,10 @@ class TestWatchdog:
             }),
             encoding="utf-8",
         )
-        dog, _ = make_watchdog(
+        flags = scan(
             tmp_path, inflight, heartbeat_timeout_s=5.0, memory_budget_kb=1000
         )
-        dog.scan()
-        assert dog.take_flags() == {}
+        assert flags == {}
 
     def test_foreign_host_heartbeat_falls_back_to_wall(self, tmp_path):
         """A heartbeat written on another machine (shared run directory)
@@ -282,10 +265,9 @@ class TestWatchdog:
                         "rss_kb": 2048}),
             encoding="utf-8",
         )
-        dog, flagged = make_watchdog(tmp_path, inflight, memory_budget_kb=1024)
-        dog.scan()
-        assert dog.take_flags() == {"job1": "memory"}
-        assert "2048" in flagged[0][2]
+        flags = scan(tmp_path, inflight, memory_budget_kb=1024)
+        assert flags == {"job1": ("memory", ANY)}
+        assert "2048" in flags["job1"][1]
 
     def test_watchdog_error_exit_causes(self):
         assert WatchdogError("x", cause="deadline").exit_cause == EXIT_DEADLINE
@@ -314,7 +296,7 @@ class TestSchedulerSupervision:
         runner = ExperimentRunner(
             store=store,
             options=RunnerOptions(jobs=2, max_attempts=2, backoff_s=0.01),
-            supervision=SupervisionOptions(deadline_s=0.4, watchdog_poll_s=0.05),
+            supervision=SupervisionOptions(deadline_s=0.4),
             job_fn=runner_stubs.hang_job,
         )
         result = runner.run([spec])[0]
