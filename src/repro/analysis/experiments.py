@@ -668,8 +668,6 @@ def run_driver(
     name: str,
     scale: Optional[RunScale] = None,
     runner: Optional[object] = None,
-    queue: Optional[object] = None,
-    on_event: Optional[object] = None,
 ) -> ExperimentTable:
     """Run one registered driver by name, sequentially or orchestrated.
 
@@ -678,12 +676,8 @@ def run_driver(
     :class:`repro.runner.ExperimentRunner`), every sweep point the driver
     needs is submitted as a job through the runner — parallel, memoized
     against the runner's store, and resumable — and the returned table is
-    identical to the sequential one.  With ``queue`` (an
-    :class:`repro.runner.ExperimentQueue`; requires ``runner``), the plan
-    is instead drained cooperatively with every other worker sharing the
-    queue, and the return value becomes a ``(table, stats)`` pair — see
-    :func:`repro.runner.orchestrate.run_experiment_queue`.  Raises
-    :class:`KeyError` for an unregistered name.
+    identical to the sequential one.  Raises :class:`KeyError` for an
+    unregistered name.
     """
     import inspect
 
@@ -698,12 +692,6 @@ def run_driver(
         kwargs["scale"] = scale
     if runner is None:
         return driver(**kwargs)
-    if queue is not None:
-        from repro.runner.orchestrate import run_experiment_queue
-
-        return run_experiment_queue(
-            driver, runner, queue, kwargs, on_event=on_event
-        )
     from repro.runner.orchestrate import run_experiment
 
     return run_experiment(driver, runner, kwargs)

@@ -14,8 +14,6 @@ Subcommands::
     repro-sim top         --run-dir .repro-runs/figure10-default  # fleet view
     repro-sim experiment  figure10 [--scale default]
     repro-sim run         --experiment figure10 --jobs 4 [--resume RUN_ID]
-    repro-sim run         --experiment figure10 --queue sweep.db  # distributed
-    repro-sim top         --run-dir .repro-runs/x --queue sweep.db --iterations 1
     repro-sim report-metrics run.metrics.json [--chart]
     repro-sim list        # available experiments / benchmarks / runs
 
@@ -836,44 +834,12 @@ def _render_fleet_table(snapshot) -> str:
                 f"job duration: mean {row['mean_ns'] / 1e9:.2f}s, "
                 f"p99 {row['p99_ns'] / 1e9:.2f}s over {row['count']} jobs"
             )
-    gauges = snapshot.get("gauges", [])
-    for row in gauges:
+    for row in snapshot.get("gauges", []):
         if row["name"] == "runner_quarantined_lines" and row["value"]:
             lines.append(
                 f"quarantined result lines: {row['value']:.0f} "
                 f"(see quarantine.jsonl)"
             )
-    queue_jobs = [row for row in gauges if row["name"] == "queue_jobs"]
-    if queue_jobs:
-        text = ", ".join(
-            f"{row['labels'].get('status', '?')}={row['value']:.0f}"
-            for row in queue_jobs
-        )
-        lines.append(f"queue: {text}")
-    queue_workers = {}
-    for row in gauges:
-        if row["name"].startswith("queue_worker_"):
-            worker = row["labels"].get("worker", "?")
-            queue_workers.setdefault(worker, {})[
-                row["name"][len("queue_worker_"):]
-            ] = row["value"]
-    for worker in sorted(queue_workers):
-        counters = queue_workers[worker]
-        lines.append(
-            f"  {worker:24s} claims {counters.get('claims', 0):.0f}  "
-            f"takeovers {counters.get('takeovers', 0):.0f}  "
-            f"renewals {counters.get('renewals', 0):.0f}  "
-            f"done {counters.get('done', 0):.0f}  "
-            f"failed {counters.get('failed', 0):.0f}"
-        )
-    leases = [row for row in gauges if row["name"] == "queue_lease_remaining_s"]
-    for row in leases:
-        spec = str(row["labels"].get("spec", "?"))
-        state = "EXPIRED" if row["value"] < 0 else f"{row['value']:.1f}s left"
-        lines.append(
-            f"  lease {spec[:12]:12s} {row['labels'].get('worker', '?'):24s} "
-            f"{state}"
-        )
     by_spec = {}
     for row in snapshot.get("gauges", []):
         spec = row["labels"].get("spec")
@@ -900,31 +866,17 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
-    if args.run_dir or args.queue:
-        from repro.obs.fleet import fleet_registry, queue_registry
-        from repro.obs.metrics import MetricsRegistry
+    if args.run_dir:
+        from repro.obs.fleet import fleet_registry
         from repro.obs.prom import registry_to_prom
-        from repro.runner.queue import QueueError
 
-        run_dir = Path(args.run_dir) if args.run_dir else None
-        if run_dir is not None and not run_dir.is_dir():
+        run_dir = Path(args.run_dir)
+        if not run_dir.is_dir():
             print(f"no such run directory: {run_dir}", file=sys.stderr)
-            return 2
-        if args.queue and not Path(args.queue).is_file():
-            print(f"no such queue database: {args.queue}", file=sys.stderr)
             return 2
         shown = 0
         while True:
-            registry = MetricsRegistry()
-            if run_dir is not None:
-                fleet_registry(run_dir, registry)
-            if args.queue:
-                try:
-                    queue_registry(args.queue, registry)
-                except QueueError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    return 2
-            snapshot = registry.snapshot()
+            snapshot = fleet_registry(run_dir).snapshot()
             if args.format == "prom":
                 print(registry_to_prom(snapshot), end="", flush=True)
             else:
@@ -1058,8 +1010,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner = ExperimentRunner(
         store=store, options=options, reporter=reporter, supervision=supervision
     )
-    if args.queue:
-        return _run_queue_mode(args, store, runner, run_id, scale)
     try:
         table = run_driver(args.experiment, scale=scale, runner=runner)
     except KeyboardInterrupt:
@@ -1101,96 +1051,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"in {stats.wall_clock_s:.1f}s -> {store.directory}"
     )
     return 0
-
-
-def _run_queue_mode(args, store, runner, run_id, scale) -> int:
-    """``repro-sim run --queue``: cooperate on a shared SQLite job queue.
-
-    Multiple invocations — on one machine or several sharing the queue
-    file and (ideally) the run directory — plan the same experiment,
-    enqueue it idempotently, and drain it together.  Results land only
-    in each worker's ``results.jsonl`` (the queue is coordination, not
-    storage), so a deleted or corrupt queue database is rebuilt by
-    simply re-running this command.
-    """
-    from repro.runner import QueueCorruptError, QueueError
-    from repro.runner.queue import ExperimentQueue
-
-    try:
-        queue = ExperimentQueue(args.queue, lease_s=args.lease)
-    except QueueCorruptError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except QueueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    def on_event(message: str) -> None:
-        if not args.no_progress:
-            print(f"[run {run_id}] {message}", file=sys.stderr)
-
-    table = stats = None
-    try:
-        try:
-            table, stats = run_driver(
-                args.experiment, scale=scale, runner=runner,
-                queue=queue, on_event=on_event,
-            )
-        except KeyboardInterrupt:
-            store.write_manifest(
-                wall_clock_s=runner.stats.wall_clock_s,
-                status="interrupted",
-                jobs=runner.stats.as_dict(),
-                supervision=store.supervision_summary(),
-                queue=queue.summary(),
-            )
-            print(
-                f"run {run_id} interrupted; claims released — surviving "
-                f"workers (or a rerun of this command) continue the sweep",
-                file=sys.stderr,
-            )
-            return 130
-        except QueueCorruptError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        summary = queue.summary()
-        counts = summary["counts"]
-        failed = counts.get("failed", 0) + counts.get("quarantined", 0)
-        store.write_manifest(
-            wall_clock_s=stats.wall_clock_s if stats else None,
-            status="failed" if failed else "ok",
-            jobs=runner.stats.as_dict(),
-            metrics=store.metrics_summary(),
-            supervision=store.supervision_summary(),
-            queue=summary,
-            queue_worker=stats.as_dict() if stats else None,
-        )
-        if table is not None:
-            print(table.render())
-        if stats is not None:
-            takeover_text = (
-                f"{stats.takeovers} takeovers, " if stats.takeovers else ""
-            )
-            print(
-                f"[run {run_id}] queue {queue.path}: {stats.claims} claims, "
-                f"{stats.executed} executed, {stats.memo_hits} answered from "
-                f"store, {takeover_text}{stats.failed} failed, "
-                f"in {stats.wall_clock_s:.1f}s -> {store.directory}"
-            )
-            counts_text = ", ".join(
-                f"{status}={count}" for status, count in counts.items()
-            )
-            print(f"[run {run_id}] queue state: {counts_text}")
-        if table is None and stats is not None:
-            print(
-                f"[run {run_id}] some results live in other workers' "
-                f"stores; render the table from a shared run directory "
-                f"or re-run single-host",
-                file=sys.stderr,
-            )
-        return 1 if failed else 0
-    finally:
-        queue.close()
 
 
 def _cmd_report_metrics(args: argparse.Namespace) -> int:
@@ -1572,12 +1432,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offline fleet mode: aggregate DIR's heartbeat and result "
              "records instead of polling a server (see docs/RUNNER.md)",
     )
-    top.add_argument(
-        "--queue", default=None, metavar="PATH",
-        help="also fold a distributed experiment queue database into the "
-             "view: per-status job counts, per-worker claim/takeover "
-             "counters, and live lease runway (combine with --run-dir)",
-    )
     top.set_defaults(func=_cmd_top)
 
     characterize = subparsers.add_parser(
@@ -1660,19 +1514,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="watchdog: soft per-worker RSS budget; jobs over it are "
              "killed and requeued under the retry budget (needs --jobs 2 "
              "or more; default: off)",
-    )
-    run.add_argument(
-        "--queue", default=None, metavar="PATH",
-        help="distributed mode: pull jobs from a shared SQLite experiment "
-             "queue instead of running the local plan directly; multiple "
-             "invocations (multiple hosts) sharing PATH cooperate on one "
-             "sweep, with lease-based takeover of dead workers' claims "
-             "(see docs/RUNNER.md)",
-    )
-    run.add_argument(
-        "--lease", type=float, default=30.0, metavar="SECONDS",
-        help="queue mode: lease duration for claimed jobs; a worker silent "
-             "longer than this loses its claims to survivors (default: 30)",
     )
     run.set_defaults(func=_cmd_run)
 

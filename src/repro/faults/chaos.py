@@ -16,13 +16,6 @@ The file-corruption helpers produce the two real-world failure shapes a
 crash-interrupted append-only store exhibits: a torn final line (the
 process died mid-``write``) and garbage bytes inside the file (torn
 page, disk error, concurrent writer).
-
-The queue hooks attack the distributed experiment queue the same way:
-:func:`kill_claimer_once` SIGKILLs a queue worker *after* it claimed a
-job (the takeover scenario), :func:`steal_lease` force-expires a live
-claim so reclamation triggers without waiting out the lease, and
-:func:`corrupt_queue_db` tears the SQLite file itself (the
-fails-loudly-with-rebuild-hint scenario).
 """
 
 from __future__ import annotations
@@ -47,9 +40,8 @@ def kill_worker_once(spec) -> dict:
 
     Later attempts return an ``ok_job``-style payload.  Refuses to kill
     the orchestrating process itself: if invoked in-process (no parent
-    process, e.g. after the runner degraded from a broken pool) it
-    raises instead of exiting, so a mis-scheduled chaos job can never
-    take the test runner down.
+    process, e.g. in a ``jobs=1`` run) it raises instead of exiting, so
+    a mis-scheduled chaos job can never take the test runner down.
     """
     directory = os.environ.get(CHAOS_DIR_ENV)
     if not directory:
@@ -111,48 +103,3 @@ def insert_garbage_line(
     lines.insert(position, garbage)
     path.write_bytes(b"\n".join(lines))
 
-
-# ----------------------------------------------------------------------
-# Experiment-queue chaos
-# ----------------------------------------------------------------------
-
-def kill_claimer_once(spec) -> dict:
-    """Job fn that SIGKILLs the worker holding a *claimed* queue job.
-
-    Identical contract to :func:`kill_worker_once` — one kill per spec,
-    tracked by marker files under ``REPRO_CHAOS_DIR`` — but the name
-    marks the scenario: by the time the job function runs, the queue row
-    is ``claimed`` with a live lease, so the death leaves a dangling
-    claim that only lease expiry + takeover can recover.
-    """
-    return kill_worker_once(spec)
-
-
-def steal_lease(queue, spec_hash: str) -> bool:
-    """Force-expire a live claim so the next claimer takes it over.
-
-    Rewrites ``lease_expires_at`` to the epoch for a ``claimed`` row —
-    what a partitioned or SIGKILLed host's claim looks like once its
-    lease runs out, without waiting out real time.  Returns True if a
-    claim was expired.
-    """
-    with queue._lock:
-        queue._conn.execute("BEGIN IMMEDIATE")
-        cursor = queue._conn.execute(
-            "UPDATE jobs SET lease_expires_at = 0.0"
-            " WHERE spec_hash = ? AND status = 'claimed'",
-            (spec_hash,),
-        )
-        queue._conn.execute("COMMIT")
-    return cursor.rowcount == 1
-
-
-def corrupt_queue_db(path: Path) -> None:
-    """Overwrite the SQLite header so the file is no longer a database.
-
-    The queue must refuse it loudly (``QueueCorruptError`` carrying the
-    rebuild recipe), never limp along or traceback.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    path.write_bytes(b"\x00garbage-not-a-sqlite-file\xff" + data[32:])

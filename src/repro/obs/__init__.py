@@ -29,7 +29,7 @@ Off means ``None``: a layer the bundle does not carry is ``None``, and
 ``Observability()`` (or simply ``observability=None``) leaves the hot
 path free of tracer, span and metrics calls — the simulator resolves the
 layers once at attach time, and ``benchmarks/bench_obs_overhead.py``
-guards the budget.
+checks that an empty bundle makes no more calls than none.
 """
 
 from __future__ import annotations

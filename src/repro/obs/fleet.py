@@ -24,18 +24,6 @@ Exported series:
 * ``runner_quarantined_lines`` — lines parked in ``quarantine.jsonl``
   (corrupt records recovered from the results file).
 
-:func:`queue_registry` does the same for a distributed experiment queue
-database (``repro-sim top --queue``):
-
-* ``queue_jobs{status}`` — job rows by pending/claimed/done/failed/
-  quarantined;
-* ``queue_worker_claims{worker}`` / ``queue_worker_takeovers{worker}``
-  / ``queue_worker_renewals{worker}`` / ``queue_worker_done{worker}``
-  / ``queue_worker_failed{worker}`` — per-host claim/lease/takeover
-  counters;
-* ``queue_lease_remaining_s{spec, worker}`` — per-claim lease runway
-  (negative means expired and eligible for takeover).
-
 Everything is read best-effort: a corrupt heartbeat or result line is
 skipped (the store has its own quarantine machinery), never fatal.
 """
@@ -137,38 +125,3 @@ def fleet_registry(
     registry.gauge("runner_quarantined_lines").set(quarantined)
     return registry
 
-
-def queue_registry(
-    queue_path: Union[str, Path],
-    registry: MetricsRegistry = None,
-    now: Callable[[], float] = time.time,
-) -> MetricsRegistry:
-    """Fold an experiment-queue database into a metrics registry.
-
-    Imports the queue lazily (obs stays dependency-free for the common
-    fleet path) and raises the queue's own errors — a corrupt database
-    should fail loudly here too, with the rebuild hint intact.
-    """
-    from repro.runner.queue import ExperimentQueue
-
-    if registry is None:
-        registry = MetricsRegistry()
-    current = now()
-    with ExperimentQueue(queue_path) as queue:
-        for status, count in sorted(queue.counts().items()):
-            registry.gauge("queue_jobs", status=status).set(count)
-        for row in queue.worker_rows():
-            worker = str(row["worker"])
-            for key in ("claims", "takeovers", "renewals", "done", "failed"):
-                registry.gauge(f"queue_worker_{key}", worker=worker).set(
-                    row[key] or 0
-                )
-        for job in queue.jobs(status="claimed"):
-            expires = job.get("lease_expires_at")
-            if isinstance(expires, (int, float)):
-                registry.gauge(
-                    "queue_lease_remaining_s",
-                    spec=str(job["spec_hash"]),
-                    worker=str(job.get("claimed_by")),
-                ).set(round(expires - current, 3))
-    return registry

@@ -16,8 +16,8 @@ Modules:
 
 * :mod:`repro.runner.spec` — :class:`JobSpec` / :class:`JobResult`, the
   pure, picklable, content-hashed job model
-* :mod:`repro.runner.scheduler` — process-pool scheduler with retries,
-  per-job limits, and in-process degradation
+* :mod:`repro.runner.scheduler` — process-pool scheduler with retries
+  and per-job limits
 * :mod:`repro.runner.store` — crash-safe JSON-lines result store + run
   manifest (the memoization and resume layer)
 * :mod:`repro.runner.worker` — worker-process entry points and per-worker
@@ -28,26 +28,10 @@ Modules:
   watchdog checks, and the interrupt/checkpoint supervision plumbing
 * :mod:`repro.runner.orchestrate` — plan/execute/replay bridge that runs
   unmodified experiment drivers in parallel
-* :mod:`repro.runner.queue` — lease-based distributed experiment queue
-  (shared SQLite job table multiple hosts pull from cooperatively)
 """
 
-from repro.runner.orchestrate import (
-    plan_driver,
-    run_experiment,
-    run_experiment_queue,
-    run_sweep,
-)
+from repro.runner.orchestrate import plan_driver, run_experiment, run_sweep
 from repro.runner.progress import ProgressReporter
-from repro.runner.queue import (
-    ClaimedJob,
-    ExperimentQueue,
-    LeaseRenewer,
-    QueueCorruptError,
-    QueueError,
-    QueueWorkStats,
-    work_queue,
-)
 from repro.runner.scheduler import (
     ExperimentRunner,
     RunFailedError,
@@ -84,15 +68,7 @@ __all__ = [
     "read_heartbeat",
     "plan_driver",
     "run_experiment",
-    "run_experiment_queue",
     "run_sweep",
-    "ExperimentQueue",
-    "ClaimedJob",
-    "LeaseRenewer",
-    "QueueError",
-    "QueueCorruptError",
-    "QueueWorkStats",
-    "work_queue",
     "result_to_dict",
     "result_from_dict",
     "execute_job",

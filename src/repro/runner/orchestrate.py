@@ -150,76 +150,6 @@ def run_experiment(
         return driver(**kwargs)
 
 
-def run_experiment_queue(
-    driver: Callable[..., Any],
-    runner: "ExperimentRunner",
-    queue: "ExperimentQueue",
-    kwargs: Optional[Dict[str, Any]] = None,
-    poll_s: float = 0.25,
-    on_event: Optional[Callable[[str], None]] = None,
-) -> Tuple[Optional[Any], Optional["QueueWorkStats"]]:
-    """Cooperative variant of :func:`run_experiment` over a shared queue.
-
-    Plans the driver, idempotently enqueues the plan (every cooperating
-    worker does the same — dedup by spec hash makes it safe and lets any
-    worker rebuild a deleted queue), marks points already in this
-    worker's store ``done`` (the rebuild-from-store path), then drains
-    the queue via :func:`~repro.runner.queue.work_queue` — pulling jobs
-    other workers haven't claimed, taking over expired leases, answering
-    store hits without executing.
-
-    Returns ``(table, stats)``.  The table is rendered from this
-    worker's store, which absorbs other workers' records via
-    :meth:`~repro.runner.store.ResultStore.refresh` when the run
-    directory is shared; if some results live only on another machine
-    (separate stores), the table is ``None`` and the caller reports the
-    queue summary instead.
-    """
-    from repro.runner.queue import work_queue
-
-    kwargs = dict(kwargs or {})
-    specs, planning_table = plan_driver(driver, kwargs)
-    if not specs:
-        return planning_table, None
-    queue.enqueue_specs(specs)
-    store = runner.store
-    if store is not None:
-        store.refresh()
-        queue.complete_memoized(
-            [s.spec_hash for s in specs if store.get(s.spec_hash) is not None]
-        )
-    stats = work_queue(queue, runner, poll_s=poll_s, on_event=on_event)
-    if store is None:
-        return None, stats
-    store.refresh()
-    memo: Dict[str, SimulationResult] = {}
-    for spec in specs:
-        record = store.get(spec.spec_hash)
-        if record is None or record.result is None:
-            return None, stats  # finished elsewhere; no local replay
-        memo[spec.spec_hash] = result_from_dict(record.result)
-
-    def hook(
-        *,
-        config: ArchConfig,
-        benchmark: str,
-        num_tenants: int,
-        interleaving: str,
-        scale: RunScale,
-        native: bool,
-        seed: int,
-        fault_plan=None,
-    ) -> Optional[SimulationResult]:
-        spec = JobSpec.from_point(
-            config, benchmark, num_tenants, interleaving, scale,
-            seed=seed, native=native, fault_plan=fault_plan,
-        )
-        return memo.get(spec.spec_hash)
-
-    with sweeps.point_hook(hook):
-        return driver(**kwargs), stats
-
-
 def run_sweep(
     runner: "ExperimentRunner",
     configs: Sequence[ArchConfig],

@@ -1,4 +1,4 @@
-"""Parallel job scheduler: process pool, retries, job limits, degradation.
+"""Parallel job scheduler: process pool, retries, job limits.
 
 :class:`ExperimentRunner` executes a batch of
 :class:`~repro.runner.spec.JobSpec` jobs with:
@@ -23,10 +23,12 @@
   memory budget, heartbeat silence), and a job over one is declared
   failed (or re-queued, if attempts remain) and the pool is recycled,
   which kills the worker process rather than leaking it;
-* **graceful degradation** — if the pool keeps breaking (workers dying,
-  fork failures), the runner falls back to in-process execution so the
-  run completes, just without parallelism.  A kill is not a pool
-  failure and never counts towards it: in-process, no limit applies.
+* **bounded pool restarts** — a broken pool (a worker died hard, a
+  fork failed) is replaced up to ``max_pool_restarts`` times.  Past
+  that, every job still queued, waiting to retry or in flight is
+  recorded as failed with an error naming the broken pool.  There is no
+  in-process fallback, because no limit could apply there.  A kill is
+  not a pool failure and never counts towards the restarts.
 
 Exactly ``jobs`` futures are kept in flight, so a job's deadline clock
 starts when it genuinely starts running, not while queued behind others.
@@ -105,14 +107,13 @@ class RunnerOptions:
     """Scheduling knobs (all per-run, not global state).
 
     ``jobs=0`` means "all cores"; ``jobs=1`` executes in-process with no
-    pool at all (also the degradation target).  ``max_attempts`` budgets
-    *infrastructure* failures (broken pool, a killed job, OS errors) and
-    counts the first try, so ``2`` means one retry;
-    ``job_error_attempts`` budgets exceptions raised by the job function
-    itself — deterministic failures, so the default of 1 fails a poison
-    job fast instead of replaying it through the backoff ladder.
-    ``max_pool_restarts`` bounds how often a broken pool is replaced
-    before the run degrades to in-process execution.  The
+    pool at all.  ``max_attempts`` budgets *infrastructure* failures
+    (broken pool, a killed job, OS errors) and counts the first try, so
+    ``2`` means one retry; ``job_error_attempts`` budgets exceptions
+    raised by the job function itself — deterministic failures, so the
+    default of 1 fails a poison job fast instead of replaying it through
+    the backoff ladder.  ``max_pool_restarts`` bounds how often a broken
+    pool is replaced; past it, every job left fails.  The
     :class:`~repro.runner.supervise.SupervisionOptions` limits apply only
     to pooled execution — an in-process job cannot be killed.
     """
@@ -173,11 +174,6 @@ class ExperimentRunner:
         self.initializer = initializer
         self.stats = RunStats()
         self._retry_seq = itertools.count()
-        #: Optional per-result hook, invoked after each result is recorded
-        #: (executed, failed, or interrupted — not memo hits).  The queue
-        #: worker loop uses it to mark jobs terminal in the shared queue
-        #: as their results land, instead of after the whole batch.
-        self.on_result: Optional[Callable[[JobResult], None]] = None
         self.supervision = supervision
         if supervision is not None:
             if supervision.run_dir is None and store is not None:
@@ -219,7 +215,7 @@ class ExperimentRunner:
         try:
             if pending:
                 if self.options.effective_jobs <= 1:
-                    self._run_inline(((spec, 1) for spec in pending), results)
+                    self._run_inline(pending, results)
                 else:
                     self._run_pool(pending, results)
         finally:
@@ -319,8 +315,6 @@ class ExperimentRunner:
         if self.store is not None:
             self.store.record(result)
         results[result.spec_hash] = result
-        if self.on_result is not None:
-            self.on_result(result)
         if result.ok:
             self.stats.executed += 1
             self.reporter.job_done(result)
@@ -332,14 +326,13 @@ class ExperimentRunner:
             self.reporter.job_failed(result)
 
     # ------------------------------------------------------------------
-    # In-process execution (jobs=1 and the degradation path)
+    # In-process execution (jobs=1)
     # ------------------------------------------------------------------
     def _run_inline(
-        self,
-        items: Iterable[Tuple[JobSpec, int]],
-        results: Dict[str, JobResult],
+        self, pending: List[JobSpec], results: Dict[str, JobResult]
     ) -> None:
-        for spec, attempt in items:
+        for spec in pending:
+            attempt = 1
             while True:
                 start = time.perf_counter()
                 try:
@@ -444,38 +437,52 @@ class ExperimentRunner:
         opts = self.options
         supervision = self.supervision
         workers = opts.effective_jobs
-        executor: Optional[ProcessPoolExecutor] = self._new_executor(workers)
+        # Created when the loop next has a job to submit, so a recycled
+        # pool stays down while every job left waits out its backoff.
+        executor: Optional[ProcessPoolExecutor] = None
         restarts = 0
         queue: Deque[Tuple[JobSpec, int]] = deque((spec, 1) for spec in pending)
         retry_heap: List[Tuple[float, int, JobSpec, int]] = []
         inflight: Dict[Future, _InFlight] = {}
 
-        def remaining_work() -> List[Tuple[JobSpec, int]]:
-            """Drain all queued/retrying/in-flight work (for degradation)."""
-            items = [(info.spec, info.attempt) for info in inflight.values()]
+        def recycle_pool() -> None:
+            """Kill the pool's workers and put the jobs still in flight
+            back at the head of the queue, at their current attempt.
+            Retries waiting in ``retry_heap`` keep their backoff."""
+            nonlocal executor
+            queue.extendleft(
+                reversed([(info.spec, info.attempt) for info in inflight.values()])
+            )
             inflight.clear()
-            items.extend(queue)
-            queue.clear()
-            while retry_heap:
-                _, _, spec, attempt = heapq.heappop(retry_heap)
-                items.append((spec, attempt))
-            return items
+            if executor is not None:
+                self._shutdown(executor, kill=True)
+                executor = None
 
-        def restart_pool() -> bool:
-            """Replace a failed pool; returns True if degraded to in-process."""
-            nonlocal executor, restarts
-            assert executor is not None
-            self._shutdown(executor, kill=True)
-            executor = None
+        def pool_broke() -> bool:
+            """Recycle a broken pool; past ``max_pool_restarts``, fail
+            every job left and return True (the run is over)."""
+            nonlocal restarts
+            recycle_pool()
             restarts += 1
-            if restarts > opts.max_pool_restarts:
-                self.reporter.event(
-                    "worker pool kept failing; degrading to in-process execution"
-                )
-                return True
-            self.reporter.event("restarting worker pool")
-            executor = self._new_executor(workers)
-            return False
+            if restarts <= opts.max_pool_restarts:
+                self.reporter.event("restarting worker pool")
+                return False
+            left = list(queue) + [
+                (spec, attempt) for _, _, spec, attempt in sorted(retry_heap)
+            ]
+            queue.clear()
+            retry_heap.clear()
+            self.reporter.event(
+                f"worker pool broke {restarts} time(s); failing the "
+                f"{len(left)} job(s) left"
+            )
+            error = BrokenProcessPool(
+                f"the worker pool broke {restarts} time(s); "
+                f"max_pool_restarts is {opts.max_pool_restarts}"
+            )
+            for spec, attempt in left:
+                self._record(self._failed_result(spec, error, attempt), results)
+            return True
 
         try:
             while queue or retry_heap or inflight:
@@ -486,16 +493,15 @@ class ExperimentRunner:
 
                 # Keep exactly `workers` jobs in flight so per-job deadlines
                 # measure running time, not queueing time.
-                while queue and len(inflight) < workers and executor is not None:
+                while queue and len(inflight) < workers:
+                    if executor is None:
+                        executor = self._new_executor(workers)
                     spec, attempt = queue.popleft()
                     try:
                         future = executor.submit(self.job_fn, spec)
                     except (BrokenProcessPool, RuntimeError) as error:
                         queue.appendleft((spec, attempt))
-                        for item in remaining_work():
-                            queue.append(item)
-                        if restart_pool():
-                            self._run_inline(remaining_work(), results)
+                        if pool_broke():
                             return
                         self.reporter.event(f"submit failed, pool restarted: {error}")
                         break
@@ -542,10 +548,7 @@ class ExperimentRunner:
                         )
 
                 if pool_broken:
-                    for spec, attempt in remaining_work():
-                        queue.append((spec, attempt))
-                    if restart_pool():
-                        self._run_inline(remaining_work(), results)
+                    if pool_broke():
                         return
                     continue
 
@@ -584,11 +587,8 @@ class ExperimentRunner:
                 # Innocent in-flight jobs are re-queued at their current
                 # attempt, and a killed job's retry resumes from its last
                 # checkpoint.  Not a pool failure, so not counted by
-                # restart_pool: degrading would run jobs no limit applies to.
-                for spec, attempt in remaining_work():
-                    queue.append((spec, attempt))
-                self._shutdown(executor, kill=True)
-                executor = self._new_executor(workers) if queue else None
+                # pool_broke.
+                recycle_pool()
         finally:
             if executor is not None:
                 self._shutdown(executor, kill=bool(inflight))

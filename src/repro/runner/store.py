@@ -12,16 +12,16 @@ Layout (one directory per run under the runs root, default
 Ctrl-C loses at most the in-flight jobs; corrupt lines (a truncated
 final line from a torn write, garbage bytes mid-file) are quarantined on
 load — the valid records survive, the bad lines move to
-``quarantine.jsonl``, and the affected jobs re-execute on resume.  Every
-append, the corruption-recovery rewrite, and :meth:`ResultStore.refresh`
-serialize on an ``flock``'d sidecar lock file, so several schedulers
-(queue workers sharing a run directory) interleave whole records
-losslessly instead of tearing each other's lines or losing appends to a
-racing rewrite.  Completed jobs are memoized by
-:attr:`~repro.runner.spec.JobSpec.spec_hash` — re-running a sweep, or
-resuming a killed run, only executes the missing points.  Failed attempts
-are recorded too (for the audit trail) but never memoized, so a resume
-retries them.
+``quarantine.jsonl``, and the affected jobs re-execute on resume.  A run
+directory has one writer at a time: every append and the
+corruption-recovery rewrite hold an ``flock``'d sidecar lock file, so a
+second run invocation naming the same run id (a ``--resume`` started
+while the first run still goes) waits for the first writer instead of
+tearing its lines or losing appends to a racing rewrite.  Completed jobs
+are memoized by :attr:`~repro.runner.spec.JobSpec.spec_hash` —
+re-running a sweep, or resuming a killed run, only executes the missing
+points.  Failed attempts are recorded too (for the audit trail) but
+never memoized, so a resume retries them.
 
 ``manifest.json`` records *how* the results were produced: git commit and
 dirty flag, python version, CPU count, the ``REPRO_BENCH_SCALE``
@@ -102,7 +102,6 @@ class ResultStore:
         elif not self.directory.is_dir():
             raise FileNotFoundError(f"no such run directory: {self.directory}")
         self._completed: Dict[str, JobResult] = {}
-        self._failed_lines = 0
         #: Record counts by status and by exit cause, plus resource peaks
         #: across every recorded attempt — the manifest's supervision
         #: block (see :meth:`supervision_summary`).
@@ -115,11 +114,6 @@ class ResultStore:
         #: the bad lines were moved to ``quarantine.jsonl`` and the
         #: results file rewritten with the surviving records.
         self.corrupt_records: List[Dict[str, Any]] = []
-        #: Byte offset into ``results.jsonl`` up to which records have
-        #: been folded into this instance — :meth:`refresh` consumes
-        #: from here, so records appended by *other* workers sharing the
-        #: run directory become visible (and memoized) incrementally.
-        self._consumed_bytes = 0
         with self._locked():
             self._load()
 
@@ -140,11 +134,11 @@ class ResultStore:
     def _locked(self) -> Iterator[None]:
         """Exclusive inter-process lock over the results file.
 
-        Taken for every append, the corruption-recovery rewrite, and
-        :meth:`refresh`, so concurrent schedulers sharing this run
-        directory serialize on whole records.  The lock lives on a
-        sidecar file because the rewrite replaces the results file's
-        inode, which would silently invalidate locks held on it.
+        Taken for every append and the corruption-recovery rewrite, so
+        two run invocations sharing this run directory serialize on
+        whole records.  The lock lives on a sidecar file because the
+        rewrite replaces the results file's inode, which would silently
+        invalidate locks held on it.
         """
         if fcntl is None:  # pragma: no cover — non-POSIX
             yield
@@ -172,9 +166,7 @@ class ResultStore:
         if not path.exists():
             return
         # Bytes + lossy decode: corruption is not guaranteed to be UTF-8.
-        data = path.read_bytes()
-        self._consumed_bytes = len(data)
-        text = data.decode("utf-8", errors="replace")
+        text = path.read_bytes().decode("utf-8", errors="replace")
         valid_lines: List[str] = []
         corrupt: List[Dict[str, Any]] = []
         for number, line in enumerate(text.split("\n"), start=1):
@@ -196,8 +188,6 @@ class ResultStore:
             self._track(record)
             if record.ok:
                 self._completed[record.spec_hash] = record
-            else:
-                self._failed_lines += 1
         self.corrupt_records = corrupt
         if corrupt:
             self._quarantine(corrupt, valid_lines)
@@ -215,10 +205,10 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
         tmp = self.results_path.with_name(RESULTS_FILE + ".tmp")
-        rewritten = "".join(line + "\n" for line in valid_lines)
-        tmp.write_text(rewritten, encoding="utf-8")
+        tmp.write_text(
+            "".join(line + "\n" for line in valid_lines), encoding="utf-8"
+        )
         os.replace(tmp, self.results_path)
-        self._consumed_bytes = len(rewritten.encode("utf-8"))
 
     # ------------------------------------------------------------------
     @property
@@ -232,90 +222,26 @@ class ResultStore:
     def record(self, result: JobResult) -> None:
         """Append ``result`` durably; successful records become memo hits.
 
-        The append happens under the store lock, after folding in any
-        records other workers appended meanwhile, so concurrent
-        schedulers interleave whole records losslessly.  If a crashed
-        writer left a torn (unterminated) tail, the new record is
-        written on its own line — the torn fragment stays isolated and
-        is quarantined on the next load instead of merging with ours.
+        The append happens under the store lock, so two invocations
+        sharing the run directory interleave whole records.  If a crashed
+        writer left a torn (unterminated) tail, the new record is written
+        on its own line — the torn fragment stays isolated and is
+        quarantined on the next load instead of merging with ours.
         """
         line = json.dumps(result.to_dict(), separators=(",", ":"))
         data = (line + "\n").encode("utf-8")
         with self._locked():
-            dangling = self._consume_new()
-            with self.results_path.open("ab") as handle:
-                handle.write(b"\n" + data if dangling else data)
+            with self.results_path.open("a+b") as handle:
+                if handle.seek(0, os.SEEK_END) > 0:
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        data = b"\n" + data
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
-                # We hold the lock and just wrote at the end, so the
-                # current size is exactly what this instance has seen
-                # (a skipped torn fragment is quarantined on next load).
-                self._consumed_bytes = handle.tell()
         self._track(result)
         if result.ok:
             self._completed[result.spec_hash] = result
-
-    def refresh(self) -> int:
-        """Fold in records appended by other workers since the last read.
-
-        Returns how many new records were absorbed.  Successful foreign
-        records become memo hits, so a queue worker that refreshes
-        before executing a claim answers jobs another host just finished
-        without re-running them.  Incremental (byte offset), so calling
-        it per claim is cheap even on large result files.
-        """
-        with self._locked():
-            before = len(self._completed) + self._failed_lines
-            self._consume_new()
-            return len(self._completed) + self._failed_lines - before
-
-    def _consume_new(self) -> bool:
-        """Absorb complete records past the consumed offset (lock held).
-
-        Returns True when unterminated bytes trail the last newline — a
-        torn tail from a crashed writer; the offset stops before it.
-        """
-        path = self.results_path
-        if not path.exists():
-            self._consumed_bytes = 0
-            return False
-        with path.open("rb") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size < self._consumed_bytes:
-                # The file shrank (deleted/recreated or rewritten by
-                # another worker's corruption recovery): start over.
-                self._consumed_bytes = 0
-            handle.seek(self._consumed_bytes)
-            chunk = handle.read()
-        if not chunk:
-            return False
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            return True
-        complete, dangling = chunk[: cut + 1], cut + 1 < len(chunk)
-        self._consumed_bytes += len(complete)
-        for stripped in complete.decode("utf-8", errors="replace").split("\n"):
-            stripped = stripped.strip()
-            if not stripped:
-                continue
-            try:
-                record = JobResult.from_dict(json.loads(stripped))
-            except (json.JSONDecodeError, KeyError, TypeError) as error:
-                # Remembered for visibility; quarantined on next load.
-                self.corrupt_records.append(
-                    {
-                        "line": None,
-                        "reason": f"{type(error).__name__}: {error}",
-                        "raw": stripped[:500],
-                    }
-                )
-                continue
-            self._track(record)
-            if record.ok:
-                self._completed[record.spec_hash] = record
-            else:
-                self._failed_lines += 1
-        return dangling
 
     @property
     def quarantine_count(self) -> int:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -251,14 +250,10 @@ class HeartbeatWriter:
         with self._lock:
             record = dict(self._fields)
         record["updated_at"] = time.time()
-        # CLOCK_MONOTONIC is system-wide per host, so readers on the
-        # same machine (watchdog, lease renewer) measure staleness
-        # against their own monotonic clock — immune to wall-clock
-        # steps.  ``host`` lets a reader on a *different* machine
-        # (shared-filesystem takeover) know the value is not comparable
-        # and fall back to wall clock.
+        # CLOCK_MONOTONIC is system-wide per host, so the scheduler
+        # measures staleness against its own monotonic clock — immune to
+        # wall-clock steps.
         record["updated_mono"] = time.monotonic()
-        record["host"] = socket.gethostname()
         record["rss_kb"] = rss_kb()
         tmp = self.path.with_name(self.path.name + f".{os.getpid()}.tmp")
         try:
@@ -277,16 +272,6 @@ class HeartbeatWriter:
 # ----------------------------------------------------------------------
 # Watchdog checks (scheduler side)
 # ----------------------------------------------------------------------
-def _beat_is_local(beat: Dict[str, Any]) -> bool:
-    """Was this heartbeat written on this machine (monotonic comparable)?
-
-    Legacy records without a ``host`` field are assumed local — they
-    also lack ``updated_mono``, so only wall-clock math applies anyway.
-    """
-    host = beat.get("host")
-    return host is None or host == socket.gethostname()
-
-
 def heartbeat_silence_s(
     beat: Dict[str, Any], now_mono: Optional[float] = None
 ) -> float:
@@ -295,10 +280,9 @@ def heartbeat_silence_s(
     Prefers the monotonic pair — the writer's ``updated_mono`` against
     the caller's own monotonic clock, valid because CLOCK_MONOTONIC is
     system-wide per host — and falls back to wall-clock arithmetic for
-    legacy records or heartbeats written on another machine (shared
-    run directory), where wall clocks are the only common reference.
+    legacy records without ``updated_mono``.
     """
-    if "updated_mono" in beat and _beat_is_local(beat):
+    if "updated_mono" in beat:
         if now_mono is None:
             now_mono = time.monotonic()
         return now_mono - beat["updated_mono"]
@@ -337,10 +321,10 @@ def scan_inflight(
         # A heartbeat predating this attempt belongs to a previous
         # (killed) attempt of the same job: treat it as absent.  The
         # comparison uses the monotonic pair when the record carries
-        # one (and was written on this host), so a wall-clock step
-        # between attempts cannot resurrect — or falsely bury — it.
+        # one, so a wall-clock step between attempts cannot resurrect —
+        # or falsely bury — it.
         if beat is not None:
-            if "updated_mono" in beat and _beat_is_local(beat):
+            if "updated_mono" in beat:
                 stale_attempt = beat["updated_mono"] < started_mono
             else:
                 stale_attempt = beat.get("updated_at", 0.0) < started_wall

@@ -5,6 +5,7 @@ fine too under fork, but keeping them here makes them picklable by
 reference under every multiprocessing start method).
 """
 
+import multiprocessing
 import os
 import time
 
@@ -28,6 +29,16 @@ def hang_job(spec):
     default 120 s), succeeds otherwise."""
     if spec.benchmark == "hang":
         time.sleep(spec.config.get("hang_s", 120))
+    return ok_job(spec)
+
+
+def exit_in_pool_job(spec):
+    """Kills its pool worker outright, breaking the pool, on every
+    attempt; in-process, where no limit applies, it sleeps 3 s and
+    succeeds."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    time.sleep(3.0)
     return ok_job(spec)
 
 

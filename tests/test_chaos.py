@@ -355,12 +355,12 @@ class TestKillResumeParity:
 
 
 # ----------------------------------------------------------------------
-# Concurrent schedulers sharing one results.jsonl (distributed queue)
+# Two run invocations sharing one results.jsonl
 # ----------------------------------------------------------------------
 
 class TestConcurrentStores:
     def test_two_schedulers_interleave_appends_losslessly(self, tmp_path):
-        """Two cooperating queue workers append to the *same*
+        """Two run invocations sharing one run id append to the *same*
         ``results.jsonl`` (here: two store instances racing from two
         threads).  The sidecar file lock serializes whole-record
         appends, so the merged file holds every record, one per line —
@@ -404,22 +404,11 @@ class TestConcurrentStores:
         }
         assert {r.spec_hash for r in merged.iter_completed()} == expected
 
-    def test_refresh_folds_in_other_writers_records(self, tmp_path):
-        """A store instance sees records another instance appended after
-        it loaded — the queue worker's pre-execution memo check."""
-        ours = ResultStore(tmp_path / "runs", "shared")
-        theirs = ResultStore(tmp_path / "runs", "shared")
-        theirs.record(_ok_record(1))
-        spec_hash = make_spec(seed=1).spec_hash
-        assert ours.get(spec_hash) is None  # loaded before the append
-        assert ours.refresh() == 1
-        assert ours.get(spec_hash) is not None
-        assert ours.refresh() == 0  # idempotent: nothing new
-
     def test_append_after_foreign_torn_tail_stays_isolated(self, tmp_path):
-        """A crashed foreign writer's torn (unterminated) tail does not
-        merge with our next append: the new record starts on its own
-        line and only the torn fragment is quarantined on reload."""
+        """Of two run invocations sharing one run id, a crashed one's torn
+        (unterminated) tail does not merge with the other's next append:
+        the new record starts on its own line and only the torn fragment
+        is quarantined on reload."""
         store = _store_with_records(tmp_path, [1, 2])
         with store.results_path.open("ab") as handle:
             handle.write(b'{"status": "ok", "spec_hash": "to')  # no newline

@@ -34,7 +34,7 @@ from repro.runner import (
     result_from_dict,
     result_to_dict,
 )
-from repro.runner.supervise import EXIT_DEADLINE
+from repro.runner.supervise import EXIT_DEADLINE, EXIT_FAILED
 
 from tests import runner_stubs
 
@@ -127,9 +127,16 @@ class TestSpecHash:
             cwd=REPO_ROOT, timeout=120,
         ).stdout.strip()
         assert output == spec.spec_hash
-        # Pinned: existing result stores and queue databases are keyed by
-        # this hash, so a JobSpec field change must not move it.
+        # Pinned: existing result stores are keyed by this hash, so a
+        # JobSpec field change must not move it.
         assert spec.spec_hash == "b05cb686ee32a311"
+
+    def test_from_dict_names_an_unknown_key(self):
+        """A spec carrying the retired ``engine`` key is refused by name,
+        never run under a default the writer did not mean."""
+        raw = dict(make_spec(seed=1).to_dict(), engine="evented")
+        with pytest.raises(ValueError, match="unknown keys engine"):
+            JobSpec.from_dict(raw)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +326,46 @@ class TestRetryAndTimeout:
         )
         results = runner.run(specs)
         assert [r.exit_cause for r in results] == [EXIT_DEADLINE] * 7
+        assert not any("degrading" in event for event in events)
+
+    def test_kill_keeps_the_retry_backoff(self):
+        """A kill recycles the pool, but the killed job's retry still
+        waits out its backoff before the next attempt starts."""
+        events = []
+        reporter = ProgressReporter(enabled=False)
+        reporter.event = lambda message: events.append((time.monotonic(), message))
+        runner = ExperimentRunner(
+            options=RunnerOptions(jobs=2, max_attempts=2, backoff_s=3.0),
+            supervision=SupervisionOptions(deadline_s=0.5),
+            reporter=reporter,
+            job_fn=runner_stubs.hang_job,
+        )
+        started = time.monotonic()
+        result = runner.run([make_spec(benchmark="hang", seed=1, hang_s=10)])[0]
+        assert result.exit_cause == EXIT_DEADLINE and result.attempts == 2
+        kills = [at for at, message in events if message.startswith("watchdog.")]
+        assert len(kills) == 2
+        # Deadline, backoff, deadline: the second kill comes no sooner.
+        assert kills[1] - started >= 0.5 + 3.0 + 0.5
+
+    def test_broken_pool_fails_the_jobs_left(self):
+        """Past ``max_pool_restarts`` a broken pool fails every job left
+        instead of running it in-process, where no deadline applies."""
+        events = []
+        reporter = ProgressReporter(enabled=False)
+        reporter.event = events.append
+        runner = ExperimentRunner(
+            options=RunnerOptions(jobs=2, max_attempts=3, max_pool_restarts=0),
+            supervision=SupervisionOptions(deadline_s=0.5),
+            reporter=reporter,
+            job_fn=runner_stubs.exit_in_pool_job,
+        )
+        started = time.monotonic()
+        result = runner.run([make_spec(seed=1)])[0]
+        assert time.monotonic() - started < 3.0
+        assert result.status == "failed" and result.exit_cause == EXIT_FAILED
+        assert "BrokenProcessPool" in result.error
+        assert "broke 1 time(s)" in result.error
         assert not any("degrading" in event for event in events)
 
 

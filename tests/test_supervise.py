@@ -166,8 +166,6 @@ class TestWatchdog:
         """A backwards wall-clock step makes ``updated_at`` look ancient,
         but the monotonic pair shows the heartbeat is fresh — the worker
         must survive."""
-        import socket
-
         inflight = [("job1", time.monotonic() - 30.0, time.time() - 30.0)]
         path = heartbeat_path(tmp_path, "job1")
         path.parent.mkdir(parents=True)
@@ -176,7 +174,6 @@ class TestWatchdog:
                 "spec_hash": "job1",
                 "updated_at": time.time() - 7200.0,  # clock stepped back 2h
                 "updated_mono": time.monotonic() - 0.1,  # actually fresh
-                "host": socket.gethostname(),
             }),
             encoding="utf-8",
         )
@@ -187,8 +184,6 @@ class TestWatchdog:
         """A forwards wall-clock step makes ``updated_at`` look fresh
         forever, but the monotonic pair shows real silence — the wedged
         worker must still be flagged."""
-        import socket
-
         inflight = [("job1", time.monotonic() - 60.0, time.time() - 60.0)]
         path = heartbeat_path(tmp_path, "job1")
         path.parent.mkdir(parents=True)
@@ -197,7 +192,6 @@ class TestWatchdog:
                 "spec_hash": "job1",
                 "updated_at": time.time() + 7200.0,  # clock stepped ahead 2h
                 "updated_mono": time.monotonic() - 30.0,  # silent for 30s
-                "host": socket.gethostname(),
             }),
             encoding="utf-8",
         )
@@ -208,8 +202,6 @@ class TestWatchdog:
         """The stale-attempt guard compares monotonic instants when the
         record carries them, so a wall-clock step between attempts can't
         resurrect a dead attempt's record."""
-        import socket
-
         now_mono = time.monotonic()
         inflight = [("job1", now_mono, time.time() - 7200.0)]  # wall stepped
         path = heartbeat_path(tmp_path, "job1")
@@ -221,7 +213,6 @@ class TestWatchdog:
                 "spec_hash": "job1",
                 "updated_at": time.time() - 300.0,
                 "updated_mono": now_mono - 300.0,
-                "host": socket.gethostname(),
                 "rss_kb": 10**9,
             }),
             encoding="utf-8",
@@ -231,28 +222,12 @@ class TestWatchdog:
         )
         assert flags == {}
 
-    def test_foreign_host_heartbeat_falls_back_to_wall(self, tmp_path):
-        """A heartbeat written on another machine (shared run directory)
-        carries a non-comparable monotonic value; staleness falls back to
-        wall-clock arithmetic."""
-        from repro.runner.supervise import heartbeat_silence_s
-
-        silent = heartbeat_silence_s({
-            "updated_at": time.time() - 42.0,
-            "updated_mono": 10.0**9,  # meaningless on this host
-            "host": "some-other-host",
-        })
-        assert 41.0 < silent < 44.0
-
     def test_writer_emits_monotonic_pair(self, tmp_path):
         writer = HeartbeatWriter(tmp_path, "mono1")
         writer.path.parent.mkdir(parents=True, exist_ok=True)
         before = time.monotonic()
         writer.write()
         beat = read_heartbeat(tmp_path, "mono1")
-        import socket
-
-        assert beat["host"] == socket.gethostname()
         assert before <= beat["updated_mono"] <= time.monotonic()
 
     def test_memory_budget_flags(self, tmp_path):
