@@ -65,6 +65,10 @@ class TranslationCache(ABC):
     without side effects.
     """
 
+    #: Instance attributes a checkpoint pickles (see
+    #: :func:`repro.sim.checkpoint.state_fields`); subclasses extend it.
+    _state_fields = ("name", "stats", "eviction_listener")
+
     def __init__(self, name: str = "cache"):
         self.name = name
         self.stats = CacheStats()

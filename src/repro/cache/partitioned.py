@@ -41,6 +41,12 @@ class PartitionedCache(SetAssociativeCache):
         Number of PTag groups; must divide the set count evenly.
     """
 
+    #: ``_sid_sets`` is an instance attribute only for one-set
+    #: partitions; elsewhere a restored cache holds the class's 0.
+    _state_fields = SetAssociativeCache._state_fields + (
+        "num_partitions", "_sets_per_partition", "_sid_sets",
+    )
+
     def __init__(
         self,
         num_entries: int,

@@ -67,6 +67,9 @@ class ReplacementPolicy(ABC):
 class LruPolicy(ReplacementPolicy):
     """Least-recently-used eviction."""
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("_order",)
+
     def __init__(self):
         #: Keys from least to most recently used.
         self._order: Dict[Hashable, None] = {}
@@ -101,6 +104,8 @@ class LruPolicy(ReplacementPolicy):
 class FifoPolicy(ReplacementPolicy):
     """First-in-first-out eviction (insertion order, hits ignored)."""
 
+    _state_fields = ("_order",)
+
     def __init__(self):
         self._order: Dict[Hashable, None] = {}
 
@@ -133,6 +138,8 @@ class LfuPolicy(ReplacementPolicy):
     divided by two.  Ties are broken by insertion order (oldest first), which
     makes the policy deterministic.
     """
+
+    _state_fields = ("counter_max", "_counts")
 
     def __init__(self, counter_bits: int = 4):
         if counter_bits < 1:
@@ -193,6 +200,8 @@ class LfuPolicy(ReplacementPolicy):
 class RandomPolicy(ReplacementPolicy):
     """Uniform-random eviction with a seeded generator (reproducible)."""
 
+    _state_fields = ("_rng", "_keys")
+
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
         self._keys: Dict[Hashable, None] = {}
@@ -226,6 +235,8 @@ class OraclePolicy(ReplacementPolicy):
     ``float('inf')`` when the key is never used again).  The simulator keeps
     that callable current as the trace advances.
     """
+
+    _state_fields = ("_next_use", "_keys")
 
     def __init__(self, next_use: Callable[[Hashable], Optional[float]]):
         self._next_use = next_use

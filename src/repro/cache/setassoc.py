@@ -78,6 +78,11 @@ class SetAssociativeCache(TranslationCache):
     #: index inline instead of calling the indexer.
     _sid_sets = 0
 
+    _state_fields = TranslationCache._state_fields + (
+        "num_entries", "ways", "num_sets", "policy_name", "_indexer",
+        "_policies", "_sets", "_pinned", "pin_capacity",
+    )
+
     def __init__(
         self,
         num_entries: int,

@@ -196,6 +196,9 @@ class Fabric:
         ``oracle``.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("config", "num_devices", "chipset", "devices")
+
     def __init__(
         self,
         config: ArchConfig,

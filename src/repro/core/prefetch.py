@@ -63,6 +63,9 @@ class SidPredictor:
     window, giving the PU exactly ``H`` packet slots of lead time.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("history_length", "_window", "_table")
+
     def __init__(self, history_length: int):
         if history_length < 1:
             raise ValueError("history_length must be >= 1")
@@ -100,6 +103,8 @@ class IovaHistory:
     in main memory; the reader is just a state machine (Section III).
     """
 
+    _state_fields = ("depth", "_recent")
+
     def __init__(self, depth: int = 2):
         if depth < 1:
             raise ValueError("depth must be >= 1")
@@ -135,6 +140,8 @@ class PrefetchUnit:
     :meth:`observe_and_predict` on every request to drive training and get
     prefetch candidates, and :meth:`install` when a prefetch completes.
     """
+
+    _state_fields = ("config", "buffer", "predictor", "stats")
 
     def __init__(self, config: PrefetchConfig):
         self.config = config

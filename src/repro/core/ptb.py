@@ -49,6 +49,9 @@ class PtbStats:
 class PendingTranslationBuffer:
     """Fixed-capacity buffer of in-flight translation completion times."""
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("num_entries", "_leaked", "_completions", "stats")
+
     def __init__(self, num_entries: int):
         if num_entries < 1:
             raise ValueError("PTB needs at least one entry")

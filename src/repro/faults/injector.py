@@ -28,6 +28,13 @@ from repro.faults.plan import FaultPlan, InvalidationStormSpec
 class FaultInjector:
     """Applies one plan's faults to one run, bit-reproducibly."""
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = (
+        "plan", "rng", "_translation_faults", "_storms", "_storm_cursor",
+        "_resets", "_latency_spikes", "_ptb_leaks", "_has_translation_faults",
+        "_has_leaks", "_has_spikes",
+    )
+
     def __init__(self, plan: FaultPlan, num_devices: int = 1):
         self.plan = plan
         self.rng = random.Random(plan.seed)
@@ -51,17 +58,6 @@ class FaultInjector:
         self._has_translation_faults = bool(self._translation_faults)
         self._has_leaks = bool(self._ptb_leaks)
         self._has_spikes = bool(self._latency_spikes)
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def rng_state(self):
-        """The RNG's internal state (snapshotted by simulation checkpoints)."""
-        return self.rng.getstate()
-
-    def set_rng_state(self, state) -> None:
-        """Restore an :meth:`rng_state` snapshot, bit-exactly."""
-        self.rng.setstate(state)
 
     # ------------------------------------------------------------------
     # Stochastic faults

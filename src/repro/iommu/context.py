@@ -83,6 +83,9 @@ class ContextCache:
     would have cost a memory access.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("_table", "_cache")
+
     def __init__(self, num_entries: int = 64, ways: int = 4, policy: str = "lru"):
         self._table: Dict[int, ContextEntry] = {}
         self._cache = SetAssociativeCache(

@@ -91,6 +91,12 @@ class Iommu:
         DRAM model charged for every page-table entry read.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = (
+        "iotlb", "nested_tlb", "pte_cache", "_walker_for_sid", "memory",
+        "context_cache", "timings", "walks_performed", "_invalidation_listeners",
+    )
+
     def __init__(
         self,
         iotlb: TranslationCache,

@@ -92,6 +92,9 @@ class Observability:
     identical to running with no observability at all.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("tracer", "metrics", "evictions", "spans")
+
     def __init__(
         self,
         tracer: Optional[RecordingTracer] = None,

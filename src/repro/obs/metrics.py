@@ -195,6 +195,9 @@ class MetricsRegistry:
     instrument locally and skip the registry lookup.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("_counters", "_gauges", "_histograms")
+
     def __init__(self) -> None:
         self._counters: Dict[_LabelKey, Counter] = {}
         self._gauges: Dict[_LabelKey, Gauge] = {}
@@ -312,6 +315,8 @@ class EvictionAttribution:
     isolation claim (a partitioned DevTLB drives it to zero across
     partitions by construction).
     """
+
+    _state_fields = ("pairs",)
 
     def __init__(self) -> None:
         self.pairs: Dict[str, Dict[Tuple[int, int], int]] = {}

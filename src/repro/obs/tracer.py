@@ -83,6 +83,12 @@ class RecordingTracer:
         Nanosecond wall clock of :meth:`start` / :meth:`finish`.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = (
+        "sample_rate", "max_events", "_rng", "events", "dropped_events",
+        "packets_sampled", "packets_skipped", "_clock", "_last_span_id",
+    )
+
     def __init__(
         self,
         sample_rate: float = 1.0,

@@ -431,6 +431,25 @@ class ExperimentRunner:
         else:
             self._record(self._failed_result(info.spec, error, info.attempt), results)
 
+    def _settle(
+        self,
+        future: Future,
+        info: _InFlight,
+        retry_heap: List[Tuple[float, int, JobSpec, int]],
+        results: Dict[str, JobResult],
+    ) -> bool:
+        """Record a finished attempt's outcome (or queue its retry);
+        True when it found the pool broken."""
+        try:
+            payload = future.result()
+        except Exception as error:  # noqa: BLE001
+            self._attempt_failed(info, error, retry_heap, results)
+            return isinstance(error, BrokenProcessPool)
+        self._record(
+            self._ok_result(info.spec, payload, info.attempt, 0.0), results
+        )
+        return False
+
     def _run_pool(
         self, pending: List[JobSpec], results: Dict[str, JobResult]
     ) -> None:
@@ -534,18 +553,8 @@ class ExperimentRunner:
                 pool_broken = False
                 for future in done:
                     info = inflight.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as error:
+                    if self._settle(future, info, retry_heap, results):
                         pool_broken = True
-                        self._attempt_failed(info, error, retry_heap, results)
-                    except Exception as error:  # noqa: BLE001
-                        self._attempt_failed(info, error, retry_heap, results)
-                    else:
-                        self._record(
-                            self._ok_result(info.spec, payload, info.attempt, 0.0),
-                            results,
-                        )
 
                 if pool_broken:
                     if pool_broke():
@@ -589,6 +598,20 @@ class ExperimentRunner:
                 # checkpoint.  Not a pool failure, so not counted by
                 # pool_broke.
                 recycle_pool()
+        except KeyboardInterrupt:
+            # Ctrl-C: a job that already finished keeps its own outcome;
+            # every other one is recorded interrupted.  Shutting the pool
+            # down below makes its worker flush a final checkpoint.
+            stopped = JobInterrupted("the run was interrupted")
+            for future, info in inflight.items():
+                if future.done():
+                    self._settle(future, info, retry_heap, results)
+                else:
+                    self._record(
+                        self._interrupted_result(info.spec, stopped, info.attempt),
+                        results,
+                    )
+            raise
         finally:
             if executor is not None:
                 self._shutdown(executor, kill=bool(inflight))

@@ -100,6 +100,9 @@ class TokenBucket:
     permanently empty — a zero-rate tenant is denied everything.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("rate", "capacity", "tokens", "last")
+
     def __init__(self, rate_per_s: float, capacity: int):
         self.rate = rate_per_s
         self.capacity = capacity
@@ -151,6 +154,10 @@ class AdmissionController:
     dispatcher (:meth:`check_backpressure`) because occupancy is only
     meaningful at the engine's virtual submission time.
     """
+
+    _state_fields = (
+        "config", "_buckets", "_in_flight", "_latched", "stats", "slo_latched",
+    )
 
     def __init__(self, config: Optional[AdmissionConfig] = None):
         self.config = config or AdmissionConfig()

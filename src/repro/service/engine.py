@@ -66,6 +66,12 @@ class ServiceEngine:
     deterministic) and submit the offline trace's packets in order.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = (
+        "sim", "config", "_valid_sids", "_last_completion", "processed",
+        "_flushed",
+    )
+
     def __init__(
         self,
         config: ArchConfig,

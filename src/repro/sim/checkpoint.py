@@ -21,6 +21,16 @@ its Mersenne state, heaps and insertion-ordered dicts keep their order.
 ``tests/test_checkpoint.py`` pins byte-identity of resumed results for
 both engines.
 
+The stream pickles each state object by a fixed list of attribute names
+(:func:`state_fields`: a dataclass's fields, or the ``_state_fields``
+tuple a plain class declares), read with plain attribute loads and
+restored with ``object.__setattr__``.  Default pickling asks the object
+for its ``__getstate__``, and on CPython 3.11 that materialises its
+instance ``__dict__``: every later attribute and method access on it
+then takes a slower path, so a run that saved once stayed slower for the
+rest of its life, and a resumed run started out slow (DESIGN.md
+section 6).
+
 The roots also reach the run's inputs: the
 :class:`~repro.trace.constructor.HyperTrace`, its packet list and its
 tenant system (page tables and walkers).  Those are far larger than the
@@ -55,6 +65,7 @@ and raises :class:`SimulationInterrupted` carrying the snapshot path.
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
 import os
 import pickle
@@ -62,13 +73,13 @@ import signal
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.trace.constructor import HyperTrace
 from repro.trace.records import compute_trace_stats
 
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 PathLike = Union[str, os.PathLike]
 
@@ -376,17 +387,61 @@ def _rebuild_inputs(path: Path, inputs: Dict[str, Any]) -> HyperTrace:
     return trace
 
 
+_ABSENT = object()
+
+
+def state_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    """The instance attributes the state stream pickles a ``cls`` object by.
+
+    A plain class names them in a ``_state_fields`` tuple (a subclass
+    extends its base's); a dataclass's are its fields.  ``None`` for
+    every other type: those pickle as usual.
+    """
+    fields = getattr(cls, "_state_fields", None)
+    if fields is None and dataclasses.is_dataclass(cls):
+        fields = tuple(field.name for field in dataclasses.fields(cls))
+    return fields
+
+
+def _restore_fields(obj, state: Dict[str, Any]) -> None:
+    """Unpickle helper: set the attributes :class:`_StatePickler` wrote."""
+    for name, value in state.items():
+        object.__setattr__(obj, name, value)
+
+
 class _StatePickler(pickle.Pickler):
-    """Pickles the state roots, naming the run's inputs by reference."""
+    """Pickles the state roots, naming the run's inputs by reference.
+
+    An object whose type has :func:`state_fields` is written as its class
+    and a ``{name: value}`` dict of the attributes it has, and rebuilt by
+    ``cls.__new__`` plus :func:`_restore_fields`: neither side touches
+    its ``__dict__``.
+    """
 
     def __init__(self, file, trace: HyperTrace):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self._names = {
             id(obj): name for name, obj in input_references(trace).items()
         }
+        self._fields: Dict[type, Optional[Tuple[str, ...]]] = {}
 
     def persistent_id(self, obj):
         return self._names.get(id(obj))
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        try:
+            fields = self._fields[cls]
+        except KeyError:
+            fields = self._fields[cls] = state_fields(cls)
+        if fields is None:
+            return NotImplemented
+        state = {}
+        for name in fields:
+            value = getattr(obj, name, _ABSENT)
+            if value is not _ABSENT:
+                state[name] = value
+        return copyreg.__newobj__, (cls,), state, None, None, _restore_fields
 
 
 class _StateUnpickler(pickle.Unpickler):

@@ -73,6 +73,9 @@ class Event:
 class EventQueue:
     """A time-ordered event queue with stable tie-breaking."""
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("_heap", "_counter")
+
     def __init__(self):
         self._heap: List[Event] = []
         self._counter = itertools.count()

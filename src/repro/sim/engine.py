@@ -49,6 +49,9 @@ class PacketRouter:
     checkpoints snapshot it together with the engines.
     """
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("_packets", "_pos", "_limit", "_queues", "_single", "_route")
+
     def __init__(self, packets, fabric, limit: Optional[int] = None):
         self._packets = packets
         self._pos = 0
@@ -91,6 +94,17 @@ class DeviceEngine:
     each step runs (merge loop or event queue); the engine guarantees the
     steps themselves are identical.
     """
+
+    #: ``_sid_latency`` and ``_sid_counters`` exist only with metrics on.
+    _state_fields = (
+        "sim", "device_id", "device", "chipset", "config", "timing",
+        "_injector", "clock", "last_completion", "packet_stats",
+        "latency_stats", "invalidation_messages", "iotlb_hits", "iotlb_misses",
+        "walker_queue_delay_ns", "measure_from_bytes", "_pending_installs",
+        "_install_seq", "_inflight_prefetches", "_last_predicted_sid",
+        "current_packet", "current_is_retry", "next_time", "_trace_packet",
+        "_extra", "_sid_latency", "_sid_counters",
+    )
 
     def __init__(self, sim, fabric, device_id: int):
         self.sim = sim

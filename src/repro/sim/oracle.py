@@ -10,7 +10,7 @@ in O(1) as the simulation advances.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.trace.records import PacketRecord
 
@@ -32,17 +32,19 @@ class FutureOracle:
     :meth:`next_use` then reports the position of each key's next access
     *after* the current point (``None`` when it never recurs).  Positions
     are indices into the access sequence, which is all Belady needs (only
-    the ordering matters).
+    the ordering matters).  ``cursor`` starts the oracle that many accesses
+    in, as if they had been consumed.
     """
 
-    def __init__(self, keys: Iterable[Hashable]):
+    def __init__(self, keys: Iterable[Hashable], cursor: int = 0):
         self._positions: Dict[Hashable, Deque[int]] = defaultdict(deque)
         count = 0
         for position, key in enumerate(keys):
-            self._positions[key].append(position)
+            if position >= cursor:
+                self._positions[key].append(position)
             count += 1
         self._length = count
-        self._cursor = 0
+        self._cursor = cursor
 
     @property
     def length(self) -> int:
@@ -73,6 +75,22 @@ class FutureOracle:
         return queue[0]
 
 
-def oracle_for_trace(packets: Iterable[PacketRecord]) -> FutureOracle:
+class TraceOracle(FutureOracle):
+    """A :class:`FutureOracle` over a trace's DevTLB key stream.
+
+    Pickles as its packet list and cursor, not its position table, which
+    grows with the trace: a checkpoint names the packet list by reference,
+    and the load rebuilds the table from the rebuilt packets.
+    """
+
+    def __init__(self, packets: Sequence[PacketRecord], cursor: int = 0):
+        super().__init__(devtlb_key_sequence(packets), cursor)
+        self._packets = packets
+
+    def __reduce__(self):
+        return TraceOracle, (self._packets, self._cursor)
+
+
+def oracle_for_trace(packets: Sequence[PacketRecord]) -> FutureOracle:
     """Build a :class:`FutureOracle` over a trace's DevTLB key stream."""
-    return FutureOracle(devtlb_key_sequence(packets))
+    return TraceOracle(packets)

@@ -16,6 +16,9 @@ from typing import List, Tuple
 class ResourcePool:
     """``capacity`` identical units serving jobs in arrival order."""
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = ("capacity", "_free_at", "jobs_served", "total_queue_delay_ns")
+
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -49,6 +52,8 @@ class ResourcePool:
 
 class UnboundedPool:
     """Infinite-concurrency stand-in with the same interface."""
+
+    _state_fields = ("jobs_served", "total_queue_delay_ns")
 
     def __init__(self):
         self.jobs_served = 0

@@ -73,6 +73,15 @@ class HyperSimulator:
         ``benchmarks/bench_obs_overhead.py``).
     """
 
+    #: Instance attributes a checkpoint pickles (:mod:`repro.sim.checkpoint`);
+    #: the event twin adds none.
+    _state_fields = (
+        "config", "trace", "native", "telemetry", "observability",
+        "fault_plan", "_tracer", "_metrics", "_oracle", "fabric",
+        "packet_stats", "latency_stats", "invalidation_messages", "_injector",
+        "engines",
+    )
+
     def __init__(
         self,
         config: ArchConfig,

@@ -69,6 +69,15 @@ class WindowSample:
 class Telemetry:
     """Collects :class:`WindowSample` objects during a run."""
 
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
+    _state_fields = (
+        "window_packets", "windows", "_index", "_start_ns", "_packets",
+        "_bytes", "_occupancy_sum", "_devtlb_hits0", "_devtlb_accesses0",
+        "_supplied0", "_requests0", "_drops0", "_last_now_ns",
+        "_last_devtlb_hits", "_last_devtlb_accesses", "_last_supplied",
+        "_last_requests", "_last_drops",
+    )
+
     def __init__(self, window_packets: int = 256):
         if window_packets < 1:
             raise ValueError("window_packets must be >= 1")

@@ -16,25 +16,33 @@ The contract under test (see ``src/repro/sim/checkpoint.py``):
   never silently resumed;
 * a snapshot stores the run's state, not its inputs: the state stream
   names the trace, its packets and its tenant system by reference, and a
-  snapshot whose inputs do not rebuild exactly is refused.
+  snapshot whose inputs do not rebuild exactly is refused;
+* the state stream pickles every state object by its named fields and
+  drops none of its attributes, and a save never asks an object for its
+  ``__getstate__``;
+* an oracle-policy snapshot does not grow with the trace.
 """
 
 import dataclasses
 import io
 import json
 import pickle
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import base_config, hypertrio_config
+from repro.cache.setassoc import SetAssociativeCache
+from repro.core.config import DeviceConfig, base_config, hypertrio_config
 from repro.obs import Observability
 from repro.obs import events as ev
 from repro.runner.serialize import result_to_dict
 from repro.sim import checkpoint as ckpt
-from repro.sim.des import simulate_evented
-from repro.sim.simulator import simulate
+from repro.sim.des import EventDrivenSimulator, simulate_evented
+from repro.sim.engine import DeviceEngine
+from repro.sim.simulator import HyperSimulator, simulate
+from repro.sim.telemetry import Telemetry
 from repro.trace.constructor import construct_trace
 from repro.trace.tenant import profile_by_name
 
@@ -303,10 +311,11 @@ class TestCheckpointValidation:
             ckpt.SimulationCheckpoint.load(path)
 
     def test_version_skew(self, tmp_path):
-        """A future version is refused, and so is version 2, whose state
-        stream pickles result and simulator classes this build no longer
-        has, before any unpickling could fail on them."""
-        for version in (ckpt.CHECKPOINT_VERSION + 1, 2):
+        """A future version is refused, and so are version 3, whose state
+        stream pickles objects through their ``__dict__``, and version 2,
+        whose stream pickles result and simulator classes this build no
+        longer has, before any unpickling could fail on them."""
+        for version in (ckpt.CHECKPOINT_VERSION + 1, 3, 2):
             path = tmp_path / f"v{version}.ckpt"
             payload = {"version": version, "engine": "analytic",
                        "packets_done": 0, "config": {}, "state": {}}
@@ -315,7 +324,7 @@ class TestCheckpointValidation:
                 pickle.dump(payload, handle)
             with pytest.raises(
                 ckpt.CheckpointError,
-                match=f"format version {version}; this build reads version 3",
+                match=f"format version {version}; this build reads version 4",
             ):
                 ckpt.SimulationCheckpoint.load(path)
 
@@ -402,7 +411,7 @@ class TestSnapshotFormat:
             checkpoint_every=150, checkpoint_path=path,
         )
         header, state = read_parts(path)
-        assert header["version"] == 3 and header["inputs"]["packets"] is None
+        assert header["version"] == 4 and header["inputs"]["packets"] is None
         trace = header["inputs"]["recipe"].build()
         roots = _InputRefusingUnpickler(io.BytesIO(state), trace).load()
         assert sorted(roots) == ["loop", "router", "sim"]
@@ -445,6 +454,206 @@ class TestSnapshotFormat:
         write_parts(path, header, state)
         with pytest.raises(ckpt.CheckpointError, match="input digest"):
             ckpt.resume_simulation(path)
+
+
+# ----------------------------------------------------------------------
+# State pickled by named fields
+# ----------------------------------------------------------------------
+
+def oracle_config():
+    config = hypertrio_config()
+    return dataclasses.replace(
+        config, devtlb=dataclasses.replace(config.devtlb, policy="oracle")
+    )
+
+
+def two_device_config():
+    """Two devices contending for two IOMMU walkers."""
+    return dataclasses.replace(
+        hypertrio_config(), iommu_walkers=2,
+        devices=DeviceConfig(count=2, sid_map="round_robin"),
+    )
+
+
+def instrumented():
+    """Every optional part a simulator can carry."""
+    from repro.faults import FaultPlan, LatencySpikeSpec, TranslationFaultSpec
+
+    plan = FaultPlan(
+        seed=3,
+        translation_faults=(TranslationFaultSpec(probability=0.02),),
+        latency_spikes=(
+            LatencySpikeSpec(target="dram", start_ns=0.0, end_ns=1e9, extra_ns=5.0),
+        ),
+    )
+    return {
+        "fault_plan": plan,
+        "telemetry": Telemetry(window_packets=64),
+        "observability": Observability.recording(),
+    }
+
+
+#: ``name -> (config, simulator keyword arguments)`` of each snapshot kind.
+STATE_CASES = {
+    "base": (base_config, dict),
+    "hypertrio": (hypertrio_config, dict),
+    "hypertrio-instrumented": (hypertrio_config, instrumented),
+    "two-devices": (two_device_config, dict),
+    "oracle": (oracle_config, dict),
+}
+
+SIMULATORS = {"analytic": HyperSimulator, "event": EventDrivenSimulator}
+
+
+def snapshot_run(engine, case, path):
+    """Run ``case`` on ``engine`` with two saves; returns its result."""
+    config, extra = STATE_CASES[case]
+    simulator = SIMULATORS[engine](config(), small_trace(), **extra())
+    return simulator.run(
+        warmup_packets=100, checkpoint_every=250, checkpoint_path=path
+    )
+
+
+@pytest.fixture
+def reduced(monkeypatch):
+    """``(object, its state fields or None)`` for every object the saves
+    of this test hand to the state pickler's reducer."""
+    seen = []
+
+    class RecordingPickler(ckpt._StatePickler):
+        def reducer_override(self, obj):
+            seen.append((obj, ckpt.state_fields(type(obj))))
+            return super().reducer_override(obj)
+
+    monkeypatch.setattr(ckpt, "_StatePickler", RecordingPickler)
+    return seen
+
+
+def pickles_itself(cls) -> bool:
+    """Exempt from declaring fields: no ``__dict__``, or its own protocol."""
+    return "__slots__" in vars(cls) or any(
+        getattr(cls, hook) is not getattr(object, hook)
+        for hook in ("__reduce__", "__reduce_ex__", "__getstate__")
+    )
+
+
+def assert_pickled_by_fields(reduced):
+    """Every ``repro`` object with a ``__dict__`` went through its fields,
+    and each one's fields name all of its attributes."""
+    by_fields = [(obj, fields) for obj, fields in reduced if fields is not None]
+    assert by_fields
+    for obj, fields in by_fields:
+        dropped = set(vars(obj)) - set(fields)
+        assert not dropped, f"{type(obj).__qualname__} drops {sorted(dropped)}"
+    undeclared = {
+        type(obj).__qualname__
+        for obj, fields in reduced
+        if fields is None
+        and type(obj).__module__.startswith("repro.")
+        and not pickles_itself(type(obj))
+    }
+    assert not undeclared
+
+
+class TestStateFields:
+    @pytest.mark.parametrize("case", sorted(STATE_CASES))
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
+    def test_snapshot_pickles_every_attribute_by_name(
+        self, engine, case, reduced, tmp_path
+    ):
+        path = tmp_path / f"{case}.ckpt"
+        result = snapshot_run(engine, case, path)
+        assert_pickled_by_fields(reduced)
+        resumed = ckpt.resume_simulation(path, expect_engine=engine)
+        assert result_bytes(resumed) == result_bytes(result)
+
+    def test_warm_restart_snapshot_pickles_every_attribute_by_name(
+        self, reduced, tmp_path
+    ):
+        from repro.service.admission import AdmissionConfig, AdmissionController
+        from repro.service.engine import ServiceEngine, load_service_checkpoint
+
+        packets = small_trace().packets
+        engine = ServiceEngine(hypertrio_config(), small_trace())
+        engine.submit_batch(packets[:300])
+        admission = AdmissionController(AdmissionConfig(rate_per_s=1_000.0))
+        admission.acquire(packets[0].sid, now=0.0)
+        path = engine.save_checkpoint(
+            tmp_path / "svc.ckpt", extra_state={"admission": admission}
+        )
+        assert_pickled_by_fields(reduced)
+        restored, state = load_service_checkpoint(path)
+        assert state["admission"].stats == admission.stats
+        assert restored.submit_batch(packets[300:]) == engine.submit_batch(
+            packets[300:]
+        )
+        assert result_bytes(restored.flush()) == result_bytes(engine.flush())
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_save_never_asks_a_state_object_for_its_state(
+        self, engine, monkeypatch, tmp_path
+    ):
+        """``__getstate__`` is what materialises an instance's
+        ``__dict__`` on CPython 3.11 and slows every later access."""
+        run = ENGINES[engine]
+        baseline = run(hypertrio_config(), small_trace(), warmup_packets=100)
+
+        def refuse(obj):
+            raise AssertionError(f"{type(obj).__name__}.__getstate__ called")
+
+        monkeypatch.setattr(SetAssociativeCache, "__getstate__", refuse, raising=False)
+        monkeypatch.setattr(DeviceEngine, "__getstate__", refuse, raising=False)
+        path = tmp_path / "run.ckpt"
+        run(hypertrio_config(), small_trace(), warmup_packets=100,
+            checkpoint_every=150, checkpoint_path=path)
+        resumed = run(hypertrio_config(), None, resume_from=path)
+        assert result_bytes(resumed) == result_bytes(baseline)
+
+
+def long_trace(packets):
+    """An 8-tenant trace of exactly ``packets`` packets."""
+    trace = construct_trace(
+        profile_by_name("mediastream"), num_tenants=8,
+        packets_per_tenant=200_000, interleaving="RR1", seed=0,
+        max_packets=packets,
+    )
+    assert len(trace.packets) == packets
+    return trace
+
+
+class TestOracleSnapshot:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_oracle_resume_is_byte_identical(self, engine, tmp_path):
+        run = ENGINES[engine]
+        baseline = run(oracle_config(), long_trace(2_000), warmup_packets=200)
+        path = tmp_path / "oracle.ckpt"
+        run(oracle_config(), long_trace(2_000), warmup_packets=200,
+            checkpoint_every=700, checkpoint_path=path)
+        resumed = run(oracle_config(), None, resume_from=path)
+        assert result_bytes(resumed) == result_bytes(baseline)
+
+    def test_oracle_snapshot_does_not_grow_with_the_trace(self, tmp_path):
+        """The oracle pickles as the packet list (an input reference) and
+        its cursor, so the same packet's snapshot of a four times longer
+        trace has the same size."""
+        sizes = {}
+        for packets in (2_000, 8_000):
+            first = tmp_path / f"first-of-{packets}.ckpt"
+
+            def keep_first_and_stop(_done, saved, first=first):
+                shutil.copyfile(saved, first)
+                ckpt.request_interrupt()
+
+            with pytest.raises(ckpt.SimulationInterrupted):
+                simulate(
+                    oracle_config(), long_trace(packets),
+                    warmup_packets=200, checkpoint_every=1_000,
+                    checkpoint_path=tmp_path / f"{packets}.ckpt",
+                    checkpoint_hook=keep_first_and_stop,
+                )
+            ckpt.clear_interrupt()
+            sizes[packets] = first.stat().st_size
+        assert sizes[2_000] == sizes[8_000]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the parallel experiment orchestrator (repro.runner)."""
 
+import _thread
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -347,6 +349,30 @@ class TestRetryAndTimeout:
         assert len(kills) == 2
         # Deadline, backoff, deadline: the second kill comes no sooner.
         assert kills[1] - started >= 0.5 + 3.0 + 0.5
+
+    def test_ctrl_c_records_the_jobs_in_flight(self, tmp_path):
+        """A Ctrl-C while jobs run records each of them ``interrupted``
+        before the interrupt leaves ``run()``, and kills their workers."""
+        store = ResultStore(tmp_path, "sigint")
+        runner = ExperimentRunner(
+            store=store,
+            options=RunnerOptions(jobs=2),
+            job_fn=runner_stubs.hang_job,
+        )
+        before = set(multiprocessing.active_children())
+        ctrl_c = threading.Timer(1.0, _thread.interrupt_main)
+        ctrl_c.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                runner.run([make_spec(benchmark="hang", seed=s) for s in (1, 2)])
+        finally:
+            ctrl_c.cancel()
+        assert runner.stats.interrupted == 2
+        records = [
+            json.loads(line) for line in store.results_path.read_text().splitlines()
+        ]
+        assert [record["status"] for record in records] == ["interrupted"] * 2
+        assert not surviving_workers(before)
 
     def test_broken_pool_fails_the_jobs_left(self):
         """Past ``max_pool_restarts`` a broken pool fails every job left

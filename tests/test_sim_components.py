@@ -1,5 +1,7 @@
 """Unit tests for simulator components: resources, oracle."""
 
+import pickle
+
 import pytest
 
 from repro.sim.oracle import FutureOracle, devtlb_key_sequence, oracle_for_trace
@@ -86,3 +88,24 @@ class TestFutureOracle:
         assert oracle.length == 6
         oracle.consume((0, 1))
         assert oracle.next_use((0, 1)) == 3
+
+    def test_trace_oracle_pickles_as_its_packets_and_cursor(self):
+        """A trace oracle's pickle holds no position table: the clone
+        rebuilds it from the packets, past the consumed accesses."""
+        packets = [
+            PacketRecord(sid=sid, giovas=(0x1000 * sid, 0x2000, 0x3000))
+            for sid in (0, 1, 0, 2, 1, 0)
+        ]
+        keys = devtlb_key_sequence(packets)
+        oracle = oracle_for_trace(packets)
+        for key in keys[:7]:
+            oracle.consume(key)
+        assert oracle.__reduce__()[1] == (packets, 7)
+        clone = pickle.loads(pickle.dumps(oracle))
+        assert (clone.cursor, clone.length) == (7, oracle.length)
+        for key in keys[7:]:
+            assert clone.next_use(key) == oracle.next_use(key)
+            clone.consume(key)
+            oracle.consume(key)
+        with pytest.raises(RuntimeError):
+            clone.consume(keys[-1])
