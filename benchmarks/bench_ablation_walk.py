@@ -1,8 +1,8 @@
 """Ablation: two-dimensional walk lengths emerge from page-table structure.
 
 DESIGN.md: the 24-access (4 KB) and 19-access (2 MB) walk counts are
-walked over real radix tables, not hard-coded.  This bench measures the
-raw walker on both page sizes and the cost of the memoisation layer.
+walked over real radix tables, not hard-coded.  This bench walks both
+page sizes on the raw walker.
 """
 
 from repro.analysis.report import ExperimentTable
@@ -41,14 +41,3 @@ def test_ablation_walk_lengths(run_experiment):
     accesses = dict(zip(table.column("mapping"), table.column("memory accesses")))
     assert accesses["4 KB (ring page)"] == 24
     assert accesses["2 MB (data page)"] == 19
-
-
-def test_memoized_walk_throughput(benchmark):
-    walker = _build()
-    walker.walk(0x3480_0000)  # prime the memo
-
-    def replay():
-        for _ in range(1000):
-            walker.walk(0x3480_0000)
-
-    benchmark(replay)

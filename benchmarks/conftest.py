@@ -1,13 +1,15 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints its rows (the paper-vs-measured record lives in EXPERIMENTS.md).
-Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable
-(``smoke`` / ``default`` / ``full``); see ``repro.analysis.scale``.
+``bench_paper_claims.py`` runs every manifest entry and checks its
+paper claim; the other ``bench_*.py`` files are ablations and
+extensions, each printing its table.  Scale is controlled by the
+``REPRO_BENCH_SCALE`` environment variable (``smoke`` / ``default`` /
+``full``; the claims are stated at ``default``); see
+``repro.analysis.scale``.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=default PYTHONPATH=src python -m pytest benchmarks -q
 """
 
 import pytest
@@ -22,18 +24,11 @@ def scale():
 
 
 @pytest.fixture
-def run_experiment(benchmark, capsys):
-    """Benchmark one experiment driver and print its rendered table.
-
-    Experiment drivers are end-to-end simulations, so they run once
-    (``rounds=1``) — the time reported is the cost of regenerating the
-    table/figure at the current scale.
-    """
+def run_experiment(capsys):
+    """Run one experiment driver and print its rendered table."""
 
     def runner(driver, *args, **kwargs):
-        table = benchmark.pedantic(
-            driver, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
+        table = driver(*args, **kwargs)
         with capsys.disabled():
             print()
             print(table.render())

@@ -148,11 +148,6 @@ def table4() -> ExperimentTable:
             f"{hyper.prefetch.pages_per_tenant} pages history/tenant"
         ),
     )
-    table.add_note(
-        "Paper's Table IV uses a 48-access prefetch stride; the stride is a "
-        "host-tuned just-in-time knob and this model's optimum is 36 "
-        "(bench_ablation_prefetch sweeps it)."
-    )
     return table
 
 
@@ -198,10 +193,6 @@ def figure4(scale: Optional[RunScale] = None) -> ExperimentTable:
             result.dram.page_table_reads,
             result.dram.page_table_reads / packets,
         )
-    table.add_note(
-        "Paper: <0.1% below 80 connections, up to 4.3% at 120, and a >400x "
-        "rise in nested page reads from 80 to 120 connections."
-    )
     return table
 
 
@@ -246,10 +237,6 @@ def figure5(scale: Optional[RunScale] = None) -> ExperimentTable:
         )
         vf_gbps = min(vf_offered, achieved_useful)
         table.add_row(count, native_gbps, vf_gbps)
-    table.add_note(
-        "Paper: native rises to ~9.4 Gb/s and stays there; VF matches the "
-        "link up to ~8 connections, then collapses to ~0.5 Gb/s beyond 16."
-    )
     return table
 
 
@@ -287,9 +274,8 @@ def figure8(packets: int = 95_000) -> ExperimentTable:
         "(paper: ~1500, periodic ring order)."
     )
     table.add_note(
-        "Paper groups: 1 ring page (every packet), 32 x 2 MB data pages, "
-        "~70 cold init pages.  'ring' here includes the mailbox page, which "
-        "is likewise touched every packet."
+        "'ring' includes the mailbox page, which is likewise touched every "
+        "packet."
     )
     return table
 
@@ -319,10 +305,6 @@ def figure9(scale: Optional[RunScale] = None) -> ExperimentTable:
             small_point.bandwidth_gbps,
             large_point.bandwidth_gbps,
         )
-    table.add_note(
-        "Paper: full link up to ~4 connections for the 64-entry DevTLB, "
-        "then eviction-driven collapse, mirroring the Figure 5 measurement."
-    )
     return table
 
 
@@ -375,8 +357,7 @@ def table3(
             paper_ratios[name],
         )
     table.add_note(
-        "Counts are scaled (paper: 1024 tenants, up to 108,513 translations "
-        "per tenant, 69.7M total for iperf3); min/max ratios are matched."
+        "Counts are scaled; the min/max ratios are scale-free."
     )
     table.add_note(
         "The interleaver stops at the first exhausted tenant (edge-effect "
@@ -421,11 +402,6 @@ def figure10(scale: Optional[RunScale] = None) -> ExperimentTable:
                     base_point.utilization_percent,
                     hyper_point.utilization_percent,
                 )
-    table.add_note(
-        "Paper: Base is capped at 12-30 Gb/s (<=15%) beyond 32 tenants; "
-        "HyperTRIO sustains up to 100% at 1024 tenants for RR orders and "
-        "up to 80% for RAND1."
-    )
     return table
 
 
@@ -455,10 +431,6 @@ def figure11a(scale: Optional[RunScale] = None) -> ExperimentTable:
                 small_point.utilization_percent,
                 large_point.utilization_percent,
             )
-    table.add_note(
-        "Paper: 1024 entries help up to ~64 tenants; beyond 128 tenants "
-        "both sizes give the same (collapsed) utilisation."
-    )
     return table
 
 
@@ -484,10 +456,6 @@ def figure11b(scale: Optional[RunScale] = None) -> ExperimentTable:
                 point = run_point(config, benchmark, count, "RR1", scale)
                 utilizations.append(point.utilization_percent)
             table.add_row(benchmark, count, *utilizations)
-    table.add_note(
-        "Paper: LFU >= LRU in the mid-tenant regime (up to 2x for iperf3 at "
-        "16 tenants); even the oracle cannot scale past ~64 tenants."
-    )
     return table
 
 
@@ -518,10 +486,6 @@ def figure11c(scale: Optional[RunScale] = None) -> ExperimentTable:
                 point.utilization_percent,
                 profile.active_translation_set,
             )
-    table.add_note(
-        "Paper: once tenants x active-set exceeds the entry count, every "
-        "request misses; >8 tenants already produce low utilisation."
-    )
     return table
 
 
@@ -559,11 +523,6 @@ def figure12a(scale: Optional[RunScale] = None) -> ExperimentTable:
                 base_point.utilization_percent,
                 part_point.utilization_percent,
             )
-    table.add_note(
-        "Paper: utilisation stays high until multiple tenants share a "
-        "partition; partitioning beats bigger/associativity/policy changes "
-        "but does not alone solve hyper-tenant scaling."
-    )
     return table
 
 
@@ -590,10 +549,6 @@ def figure12b(scale: Optional[RunScale] = None) -> ExperimentTable:
                 point = run_point(config, benchmark, count, "RR1", scale)
                 utilizations.append(point.utilization_percent)
             table.add_row(benchmark, count, *utilizations)
-    table.add_note(
-        "Paper: 8 entries reach full bandwidth up to 16 tenants; 32 entries "
-        "give ~136 Gb/s aggregated at 1024 tenants (68% of link)."
-    )
     return table
 
 
@@ -630,11 +585,6 @@ def figure12c(scale: Optional[RunScale] = None) -> ExperimentTable:
                 on_point.utilization_percent,
                 on_point.result.prefetch_supplied_fraction * 100.0,
             )
-    table.add_note(
-        "Paper: up to +30% link utilisation for websearch in hyper-tenant "
-        "setups; the prefetcher supplies ~45% of translations at 1024 "
-        "tenants."
-    )
     return table
 
 

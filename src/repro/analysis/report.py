@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Any, List, Sequence
 
 
-def _format_cell(value: Any) -> str:
+def format_cell(value: Any) -> str:
+    """Compact text for one cell: floats to three significant digits."""
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -67,7 +68,7 @@ class ExperimentTable:
     # ------------------------------------------------------------------
     def render(self) -> str:
         """ASCII rendering for terminal output."""
-        cells = [[_format_cell(value) for value in row] for row in self.rows]
+        cells = [[format_cell(value) for value in row] for row in self.rows]
         widths = [
             max(len(header), *(len(row[i]) for row in cells)) if cells else len(header)
             for i, header in enumerate(self.columns)
@@ -88,7 +89,7 @@ class ExperimentTable:
         lines.append("| " + " | ".join(self.columns) + " |")
         lines.append("|" + "|".join("---" for _ in self.columns) + "|")
         for row in self.rows:
-            lines.append("| " + " | ".join(_format_cell(v) for v in row) + " |")
+            lines.append("| " + " | ".join(format_cell(v) for v in row) + " |")
         if self.notes:
             lines.append("")
             for note in self.notes:

@@ -70,7 +70,7 @@ SMOKE = RunScale(
 DEFAULT = RunScale(
     name="default",
     tenant_counts=(4, 64, 1024),
-    interleavings=("RR1",),
+    interleavings=("RR1", "RAND1"),
     benchmarks=("mediastream",),
     max_packets=16_000,
 )

@@ -138,9 +138,7 @@ def service_saturation(scale: Optional[RunScale] = None) -> ExperimentTable:
             )
     table.add_note(
         "Wall-clock columns (wall ms, req/s, RTT percentiles) are machine-"
-        "dependent and nondeterministic; only their shapes are meaningful. "
-        "The single dispatcher serializes the engine, so req/s saturates "
-        "with client count while RTT tails grow."
+        "dependent and nondeterministic; no check reads them."
     )
     table.add_note(
         "Modeled columns depend on the cross-client submission order; "

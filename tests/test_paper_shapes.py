@@ -2,7 +2,9 @@
 
 These are the repository's contract with the paper: each test checks one
 comparative *shape* from the evaluation section at a size small enough for
-the unit-test suite.  The full-scale versions live in benchmarks/.
+the unit-test suite.  The same claims at 1024 tenants are the manifest's
+checks (``repro.analysis.manifest``), run by
+``benchmarks/bench_paper_claims.py``.
 """
 
 import dataclasses
