@@ -22,8 +22,6 @@ from repro.mem.dram import DramStats, MainMemory
 from repro.mem.pagetable import (
     AddressSpace,
     PageTable,
-    PageTableEntry,
-    PageTableNode,
     TranslationFault,
     WalkStep,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "DramStats",
     "AddressSpace",
     "PageTable",
-    "PageTableEntry",
-    "PageTableNode",
     "TranslationFault",
     "WalkStep",
     "TwoDimensionalWalker",

@@ -5,27 +5,52 @@ The paper's translation of a gIOVA is a *two-dimensional* page-table walk
 every guest page-table node is itself addressed by a guest-physical address
 that must be translated through the host page table before it can be read.
 
-This module builds real 4-level radix trees.  Nodes are allocated physical
+This module models real 4-level radix trees.  Nodes are allocated physical
 frames from a :class:`~repro.mem.allocator.FrameAllocator`, so every
 page-table entry the walker reads has a concrete physical address — the unit
-the page-walk caches operate on.
+the page-walk caches operate on.  A table stores the tree flat, as two dicts
+of ints: the frame of each node, and the frame and size of each mapped page.
+An entry is a leaf when its page is mapped at that level, a pointer when the
+node below it exists, and empty otherwise.  So a table holds no object per
+node or entry for the garbage collector to scan, and each leaf is stored
+once.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.mem.address import (
-    ENTRIES_PER_NODE,
+    LEVEL_BITS,
     PAGE_SHIFT_2M,
     PAGE_SHIFT_4K,
     PAGE_TABLE_LEVELS,
-    level_index,
     page_base,
 )
 from repro.mem.allocator import FrameAllocator
+
+#: ``(level, shift)`` root first, where ``shift`` is the position of the
+#: level's 9 index bits.  It is also the page shift of a leaf at that level
+#: and the shift of the prefix that keys the node below it.
+_LEVEL_SHIFTS = tuple(
+    (level, PAGE_SHIFT_4K + LEVEL_BITS * (level - 1))
+    for level in range(PAGE_TABLE_LEVELS, 0, -1)
+)
+
+
+def _node_key(virtual: int, level: int) -> int:
+    """Key of the level-``level`` node on the path of ``virtual``.
+
+    A node covers the addresses that share its prefix, the bits of
+    ``virtual`` above ``12 + 9 * level``; the key is the prefix with the
+    level in its low three bits.  The root's key is ``level`` 4, prefix 0.
+    """
+    return (virtual >> (PAGE_SHIFT_4K + LEVEL_BITS * level)) << 3 | level
+
+
+_ROOT_KEY = _node_key(0, PAGE_TABLE_LEVELS)
 
 
 class TranslationFault(Exception):
@@ -38,38 +63,6 @@ class TranslationFault(Exception):
         self.address = address
         self.level = level
         self.space = space
-
-
-@dataclass
-class PageTableNode:
-    """One 4 KB radix node.
-
-    ``physical_address`` is the frame holding the node; ``entries`` maps a
-    9-bit index either to a child node or to a leaf mapping.
-    """
-
-    level: int
-    physical_address: int
-    entries: Dict[int, "PageTableEntry"] = field(default_factory=dict)
-
-    def entry_address(self, index: int) -> int:
-        """Physical address of the 8-byte entry at ``index`` in this node."""
-        if not 0 <= index < ENTRIES_PER_NODE:
-            raise ValueError(f"index {index} out of range")
-        return self.physical_address + index * 8
-
-
-@dataclass
-class PageTableEntry:
-    """A single entry: either a pointer to a child node or a leaf frame."""
-
-    child: Optional[PageTableNode] = None
-    frame: Optional[int] = None
-    page_shift: int = PAGE_SHIFT_4K
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.frame is not None
 
 
 @dataclass(frozen=True)
@@ -98,9 +91,9 @@ class PageTable:
     def __init__(self, allocator: FrameAllocator, name: str = "pt"):
         self._allocator = allocator
         self.name = name
-        self.root = PageTableNode(
-            level=PAGE_TABLE_LEVELS, physical_address=allocator.allocate_node()
-        )
+        #: Node key (:func:`_node_key`) -> frame of every radix node.
+        self._nodes: Dict[int, int] = {_ROOT_KEY: allocator.allocate_node()}
+        #: Virtual page base -> ``(frame, page_shift)`` of every leaf.
         self._mappings: Dict[int, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -111,63 +104,52 @@ class PageTable:
 
         ``page_shift`` selects the leaf level: 12 maps a 4 KB page at level 1,
         21 maps a 2 MB huge page at level 2 (the layout the paper observed
-        for tenant data buffers).
+        for tenant data buffers).  Missing nodes on the path are allocated
+        root first.
         """
-        if page_shift == PAGE_SHIFT_4K:
-            leaf_level = 1
-        elif page_shift == PAGE_SHIFT_2M:
-            leaf_level = 2
-        else:
+        if page_shift not in (PAGE_SHIFT_4K, PAGE_SHIFT_2M):
             raise ValueError(f"unsupported page shift {page_shift}")
         if frame % (1 << page_shift) != 0:
             raise ValueError(
                 f"frame {frame:#x} not aligned for page shift {page_shift}"
             )
         virtual_base = page_base(virtual, page_shift)
-        node = self.root
-        for level in range(PAGE_TABLE_LEVELS, leaf_level, -1):
-            index = level_index(virtual_base, level)
-            entry = node.entries.get(index)
-            if entry is None:
-                child = PageTableNode(
-                    level=level - 1,
-                    physical_address=self._allocator.allocate_node(),
-                )
-                entry = PageTableEntry(child=child)
-                node.entries[index] = entry
-            elif entry.is_leaf:
+        nodes = self._nodes
+        mappings = self._mappings
+        for level, shift in _LEVEL_SHIFTS:
+            child = _node_key(virtual_base, level - 1)
+            if shift == page_shift:
+                if virtual_base in mappings or child in nodes:
+                    raise ValueError(
+                        f"{self.name}: page {virtual_base:#x} is already mapped"
+                    )
+                break
+            leaf = mappings.get(page_base(virtual_base, shift))
+            if leaf is not None and leaf[1] == shift:
                 raise ValueError(
                     f"{self.name}: {virtual_base:#x} overlaps an existing "
                     f"huge-page mapping at level {level}"
                 )
-            node = entry.child  # type: ignore[assignment]
-        leaf_index = level_index(virtual_base, leaf_level)
-        existing = node.entries.get(leaf_index)
-        if existing is not None:
-            raise ValueError(
-                f"{self.name}: page {virtual_base:#x} is already mapped"
-            )
-        node.entries[leaf_index] = PageTableEntry(frame=frame, page_shift=page_shift)
-        self._mappings[virtual_base] = (frame, page_shift)
+            if child not in nodes:
+                nodes[child] = self._allocator.allocate_node()
+        mappings[virtual_base] = (frame, page_shift)
 
     def unmap_page(self, virtual: int, page_shift: int = PAGE_SHIFT_4K) -> None:
         """Remove the mapping for the page containing ``virtual``.
 
         Intermediate nodes are retained (as real kernels usually do for I/O
-        page tables); only the leaf entry is cleared.
+        page tables); only the leaf entry is cleared.  Unless the page is
+        mapped with ``page_shift``, nothing changes and the fault names the
+        first level on the path without a pointer, or the leaf level.
         """
-        leaf_level = 1 if page_shift == PAGE_SHIFT_4K else 2
         virtual_base = page_base(virtual, page_shift)
-        node = self.root
-        for level in range(PAGE_TABLE_LEVELS, leaf_level, -1):
-            entry = node.entries.get(level_index(virtual_base, level))
-            if entry is None or entry.child is None:
-                raise TranslationFault(virtual, level, self.name)
-            node = entry.child
-        index = level_index(virtual_base, leaf_level)
-        if index not in node.entries:
-            raise TranslationFault(virtual, leaf_level, self.name)
-        del node.entries[index]
+        leaf = self._mappings.get(virtual_base)
+        if leaf is None or leaf[1] != page_shift:
+            leaf_level = 1 if page_shift == PAGE_SHIFT_4K else 2
+            level = PAGE_TABLE_LEVELS
+            while level > leaf_level and _node_key(virtual_base, level - 1) in self._nodes:
+                level -= 1
+            raise TranslationFault(virtual, level, self.name)
         del self._mappings[virtual_base]
 
     # ------------------------------------------------------------------
@@ -175,9 +157,8 @@ class PageTable:
     # ------------------------------------------------------------------
     def translate(self, virtual: int) -> int:
         """Translate ``virtual`` to a physical address (no timing)."""
-        frame, page_shift, _ = self._walk(virtual)
-        offset = virtual & ((1 << page_shift) - 1)
-        return frame + offset
+        frame, page_shift, _ = self.walk(virtual)
+        return frame + (virtual & ((1 << page_shift) - 1))
 
     def walk(self, virtual: int) -> Tuple[int, int, Tuple[WalkStep, ...]]:
         """Translate ``virtual`` and return the memory accesses performed.
@@ -185,66 +166,56 @@ class PageTable:
         Returns ``(frame, page_shift, steps)`` where ``steps`` lists one
         :class:`WalkStep` per page-table entry read, root first.
         """
-        return self._walk(virtual)
+        result = self.walk_entries(virtual)
+        if result[0] is None:
+            raise TranslationFault(virtual, result[2][-1].level, self.name)
+        return result
 
-    def _walk(self, virtual: int) -> Tuple[int, int, Tuple[WalkStep, ...]]:
-        node = self.root
+    def walk_entries(
+        self, virtual: int
+    ) -> Tuple[Optional[int], Optional[int], Tuple[WalkStep, ...]]:
+        """:meth:`walk` without the fault.
+
+        When the walk reads an empty entry, ``frame`` and ``page_shift``
+        are ``None`` and the last step is that entry.
+        """
+        nodes = self._nodes
+        mappings = self._mappings
+        node = nodes[_ROOT_KEY]
         steps = []
-        for level in range(PAGE_TABLE_LEVELS, 0, -1):
-            index = level_index(virtual, level)
-            steps.append(WalkStep(level=level, entry_address=node.entry_address(index)))
-            entry = node.entries.get(index)
-            if entry is None:
-                raise TranslationFault(virtual, level, self.name)
-            if entry.is_leaf:
-                return entry.frame, entry.page_shift, tuple(steps)  # type: ignore[return-value]
-            node = entry.child  # type: ignore[assignment]
-        raise TranslationFault(virtual, 0, self.name)
+        for level, shift in _LEVEL_SHIFTS:
+            prefix = virtual >> shift
+            # 512 entries of 8 bytes per node.
+            steps.append(WalkStep(level, node + (prefix & 511) * 8))
+            leaf = mappings.get(prefix << shift)
+            if leaf is not None and leaf[1] == shift:
+                return leaf[0], shift, tuple(steps)
+            node = nodes.get(prefix << 3 | (level - 1))  # _node_key(virtual, level - 1)
+            if node is None:
+                break
+        return None, None, tuple(steps)
 
     def shifted_copy(
         self, allocator: FrameAllocator, name: str, offset: int = 0
     ) -> "PageTable":
         """Return an independent copy with every frame ``offset`` bytes higher.
 
-        Node addresses and leaf frames move by ``offset``; virtual
-        addresses, entry order and the tree's shape stay.  The copy shares
-        no mutable object with this table and allocates new nodes from
-        ``allocator``.  Frame ints are immutable, so each shifted frame is
-        made once for both the leaf entry and ``_mappings``, and with
-        ``offset == 0`` the copy reuses this table's ints.
+        Node frames and leaf frames move by ``offset``; virtual addresses
+        and insertion order stay.  The copy shares no mutable object with
+        this table and allocates new nodes from ``allocator``; with
+        ``offset == 0`` it shares this table's ints and leaf tuples.
         """
-        shifted: Dict[int, int] = {}
-
-        def copy_node(node: PageTableNode) -> PageTableNode:
-            entries = {}
-            for index, entry in node.entries.items():
-                child = entry.child
-                if child is not None:
-                    entries[index] = PageTableEntry(child=copy_node(child))
-                    continue
-                frame = entry.frame
-                if offset:
-                    moved = frame + offset
-                    shifted[frame] = moved
-                    frame = moved
-                entries[index] = PageTableEntry(frame=frame, page_shift=entry.page_shift)
-            address = node.physical_address
-            return PageTableNode(
-                level=node.level,
-                physical_address=address + offset if offset else address,
-                entries=entries,
-            )
-
         table = PageTable.__new__(PageTable)
         table._allocator = allocator
         table.name = name
-        table.root = copy_node(self.root)
         if offset:
+            table._nodes = {key: frame + offset for key, frame in self._nodes.items()}
             table._mappings = {
-                virtual: (shifted[frame], page_shift)
+                virtual: (frame + offset, page_shift)
                 for virtual, (frame, page_shift) in self._mappings.items()
             }
         else:
+            table._nodes = dict(self._nodes)
             table._mappings = dict(self._mappings)
         return table
 
@@ -263,15 +234,7 @@ class PageTable:
 
     def node_count(self) -> int:
         """Total number of radix nodes in the table (including the root)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            for entry in node.entries.values():
-                if entry.child is not None:
-                    stack.append(entry.child)
-        return count
+        return len(self._nodes)
 
 
 class AddressSpace:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.mem.address import PAGE_SHIFT_4K, page_base
+from repro.mem.address import page_base
 from repro.mem.pagetable import AddressSpace, TranslationFault, WalkStep
 
 
@@ -135,43 +135,31 @@ class TwoDimensionalWalker:
             self._memo.pop(giova >> 12, None)
 
     def _walk_uncached(self, giova: int) -> TwoDimensionalWalk:
+        guest_table = self._space.guest_table
+        guest_frame, guest_page_shift, guest_steps = guest_table.walk_entries(giova)
+        # Each guest entry read needs a host walk of its guest-physical
+        # address first, which may back the node's page; a missing guest
+        # entry faults only after that.
         phases = []
-        node = self._space.guest_table.root
-        # Walk the guest table level by level; each node read needs a host
-        # walk of the node's guest-physical address first.
-        guest_frame = None
-        guest_page_shift = PAGE_SHIFT_4K
-        level = node.level
-        from repro.mem.address import level_index  # local import to keep hot path tight
-
-        while True:
-            index = level_index(giova, level)
-            entry_gpa = node.entry_address(index)
+        for step in guest_steps:
+            entry_gpa = step.entry_address
             gpa_page = page_base(entry_gpa)
-            host_frame, _, host_steps = self._host_walk(entry_gpa, giova, level)
-            entry_hpa = host_frame + (entry_gpa - gpa_page)
+            host_frame, _, host_steps = self._host_walk(entry_gpa)
             phases.append(
                 NestedWalkPhase(
-                    guest_level=level,
+                    guest_level=step.level,
                     gpa_page=gpa_page,
                     host_steps=host_steps,
-                    guest_entry_hpa=entry_hpa,
+                    guest_entry_hpa=host_frame + (entry_gpa - gpa_page),
                 )
             )
-            guest_entry = node.entries.get(index)
-            if guest_entry is None:
-                raise TranslationFault(giova, level, self._space.guest_table.name)
-            if guest_entry.is_leaf:
-                guest_frame = guest_entry.frame
-                guest_page_shift = guest_entry.page_shift
-                break
-            node = guest_entry.child
-            level -= 1
+        if guest_frame is None:
+            raise TranslationFault(giova, guest_steps[-1].level, guest_table.name)
 
         # Final host walk: translate the data page's guest-physical address.
         data_gpa = guest_frame + (giova & ((1 << guest_page_shift) - 1))
         data_gpa_page = page_base(data_gpa)
-        host_frame, _, host_steps = self._host_walk(data_gpa, giova, 0)
+        host_frame, _, host_steps = self._host_walk(data_gpa)
         phases.append(
             NestedWalkPhase(
                 guest_level=0,
@@ -188,7 +176,7 @@ class TwoDimensionalWalker:
             phases=tuple(phases),
         )
 
-    def _host_walk(self, gpa: int, giova: int, guest_level: int):
+    def _host_walk(self, gpa: int):
         """Host-walk ``gpa``; lazily back page-table node frames."""
         try:
             return self._space.host_table.walk(gpa)

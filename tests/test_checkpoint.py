@@ -365,7 +365,6 @@ class TestCheckpointValidation:
 #: Classes of the run's inputs, which a state stream must never contain.
 INPUT_CLASSES = {
     ("repro.mem.pagetable", "PageTable"),
-    ("repro.mem.pagetable", "PageTableNode"),
     ("repro.mem.pagetable", "AddressSpace"),
     ("repro.trace.workload", "TenantWorkload"),
     ("repro.trace.workload", "HyperTenantSystem"),

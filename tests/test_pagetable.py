@@ -12,6 +12,19 @@ def table():
     return PageTable(FrameAllocator(base=0x1_0000_0000), name="unit")
 
 
+class _RecordingAllocator(FrameAllocator):
+    """A frame allocator that lists the node frames it hands out."""
+
+    def __init__(self):
+        super().__init__(base=0x1_0000_0000)
+        self.nodes = []
+
+    def allocate_node(self):
+        frame = super().allocate_node()
+        self.nodes.append(frame)
+        return frame
+
+
 class TestMapAndTranslate:
     def test_translate_mapped_page(self, table):
         table.map_page(0x3480_0000, 0x9000_0000)
@@ -68,6 +81,15 @@ class TestHugePages:
         with pytest.raises(ValueError):
             table.map_page(0, 0, 30)
 
+    def test_huge_map_over_level_one_node_rejected(self, table):
+        table.map_page(0xBBE0_1000, 0x9000_0000)
+        with pytest.raises(ValueError, match="already mapped"):
+            table.map_page(0xBBE0_0000, 0x4000_0000, PAGE_SHIFT_2M)
+        # Intermediate nodes stay, so the level-1 node still holds the range.
+        table.unmap_page(0xBBE0_1000)
+        with pytest.raises(ValueError, match="already mapped"):
+            table.map_page(0xBBE0_0000, 0x4000_0000, PAGE_SHIFT_2M)
+
 
 class TestUnmap:
     def test_unmap_then_fault(self, table):
@@ -91,6 +113,28 @@ class TestUnmap:
         table.map_page(0x2000, 0x9000_1000)
         table.unmap_page(0x1000)
         assert table.translate(0x2000) == 0x9000_1000
+
+    def test_unmap_with_other_page_shift_changes_nothing(self, table):
+        table.map_page(0xBBE0_0000, 0x9000_0000)
+        table.map_page(0xBBE0_1000, 0x9000_1000)
+        nodes = table.node_count()
+        with pytest.raises(TranslationFault) as excinfo:
+            table.unmap_page(0xBBE0_0000, PAGE_SHIFT_2M)
+        assert excinfo.value.level == 2
+        assert table.node_count() == nodes
+        assert list(table.mappings()) == [
+            (0xBBE0_0000, 0x9000_0000, PAGE_SHIFT_4K),
+            (0xBBE0_1000, 0x9000_1000, PAGE_SHIFT_4K),
+        ]
+        assert table.translate(0xBBE0_0000) == 0x9000_0000
+        assert table.translate(0xBBE0_1000) == 0x9000_1000
+
+    def test_unmap_4k_inside_huge_page_faults_at_level_two(self, table):
+        table.map_page(0xBBE0_0000, 0x4000_0000, PAGE_SHIFT_2M)
+        with pytest.raises(TranslationFault) as excinfo:
+            table.unmap_page(0xBBE0_1000)
+        assert excinfo.value.level == 2
+        assert table.translate(0xBBE0_1000) == 0x4000_1000
 
 
 class TestWalkStructure:
@@ -123,6 +167,43 @@ class TestWalkStructure:
             s.entry_address for s in second[:3]
         ]
         assert first[3].entry_address != second[3].entry_address
+
+
+class TestNodeFrames:
+    """Node frames and entry addresses, computed by hand: a node at frame
+    ``f`` holds the level's entry ``i`` at ``f + 8 * i``."""
+
+    def test_4k_map_allocates_three_nodes_below_the_root(self):
+        allocator = _RecordingAllocator()
+        table = PageTable(allocator)
+        table.map_page(0x3480_0000, 0x9000_0000)
+        assert allocator.nodes == [
+            0x1_0000_0000,  # root
+            0x1_0000_1000,  # level 3
+            0x1_0000_2000,  # level 2
+            0x1_0000_3000,  # level 1
+        ]
+        _, _, steps = table.walk(0x3480_0000)
+        # Indices 0, 0, 0x1A4 and 0 at levels 4..1.
+        assert [step.entry_address for step in steps] == [
+            0x1_0000_0000,
+            0x1_0000_1000,
+            0x1_0000_2D20,
+            0x1_0000_3000,
+        ]
+
+    def test_2m_map_allocates_two_nodes_below_the_root(self):
+        allocator = _RecordingAllocator()
+        table = PageTable(allocator)
+        table.map_page(0xBBE0_0000, 0x4000_0000, PAGE_SHIFT_2M)
+        assert allocator.nodes == [0x1_0000_0000, 0x1_0000_1000, 0x1_0000_2000]
+        _, _, steps = table.walk(0xBBE0_0000)
+        # Indices 0, 2 and 0x1DF at levels 4..2.
+        assert [step.entry_address for step in steps] == [
+            0x1_0000_0000,
+            0x1_0000_1010,
+            0x1_0000_2EF8,
+        ]
 
 
 class TestIntrospection:

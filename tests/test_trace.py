@@ -1,5 +1,6 @@
 """Unit tests for trace records, tenant specs, and workload generation."""
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -186,21 +187,8 @@ class TestWorkloads:
 
 
 def _table_state(table):
-    """A page table as plain data: nodes in entry order, leaves, mappings."""
-
-    def node_state(node):
-        return (
-            node.level,
-            node.physical_address,
-            [
-                (index, node_state(entry.child))
-                if entry.child is not None
-                else (index, entry.frame, entry.page_shift)
-                for index, entry in node.entries.items()
-            ],
-        )
-
-    return node_state(table.root), list(table._mappings.items())
+    """A page table as plain data: node frames and leaves, in insertion order."""
+    return list(table._nodes.items()), list(table._mappings.items())
 
 
 def _tenant_state(workload):
@@ -299,13 +287,23 @@ class TestDerivedTenants:
         for workload in workloads:
             space = workload.space
             for table in (space.guest_table, space.host_table):
-                objects = [table._mappings]
-                stack = [table.root]
-                while stack:
-                    node = stack.pop()
-                    objects += [node, node.entries, *node.entries.values()]
-                    stack += [e.child for e in node.entries.values() if e.child]
-                for obj in objects:
+                for obj in (table, table._nodes, table._mappings):
                     assert owners.setdefault(id(obj), workload) is workload
             allocator = space._guest_allocator
             assert owners.setdefault(id(allocator), workload) is workload
+
+    def test_derived_tenants_add_few_tracked_objects(self):
+        """A derived tenant's tables are dicts of ints, not an object per
+        node and entry, so the garbage collector has little to re-scan."""
+        specs = make_tenant_specs(MEDIASTREAM, 96, 10)
+        system = HyperTenantSystem()
+
+        def tracked_after_adding(new_specs):
+            for spec in new_specs:
+                system.add_tenant(spec)
+            gc.collect()
+            return len(gc.get_objects())
+
+        before = tracked_after_adding(specs[:32])
+        after = tracked_after_adding(specs[32:])
+        assert (after - before) / 64 <= 48

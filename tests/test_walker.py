@@ -74,6 +74,17 @@ class TestWalkResults:
         assert ring.phases[3].gpa_page != mailbox.phases[3].gpa_page
 
 
+class TestLazyBacking:
+    def test_unmapped_giova_backs_the_guest_root_before_faulting(self, address_space):
+        log = []
+        address_space.log_backings(log, "sid")
+        with pytest.raises(TranslationFault) as excinfo:
+            TwoDimensionalWalker(address_space).walk(0x7F00_0000_0000)
+        assert excinfo.value.level == 4
+        # The gL4 entry read: guest root 0x4000_0000, index 0xFE.
+        assert log == [("sid", 0x4000_07F0)]
+
+
 class TestMemoization:
     def test_same_page_returns_cached_walk(self, walker):
         first = walker.walk(0x3480_0000)
