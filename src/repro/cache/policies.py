@@ -1,4 +1,4 @@
-"""Replacement policies for translation caches.
+"""Replacement policies for translation caches, one object per cache set.
 
 The paper studies LRU, LFU (motivated by the three access-frequency groups
 observed in single-tenant traces, Section IV-D) and a Belady *oracle* that
@@ -7,127 +7,202 @@ implementation follows the paper exactly: a 4-bit saturating counter per
 entry, and when any counter in a row saturates, every counter in that row is
 halved.
 
-Policies are per-*set* objects: the owning cache creates one policy instance
-per set (row), and notifies it on hits, fills, and when it must pick a
-victim.  Keys are opaque hashables.
+Each policy object *is* one set (row) of a cache: it owns the row's entries,
+their replacement state and the row's pins, and answers ``get`` (a lookup
+that counts as a use) and ``put`` (a fill or update that returns the key it
+evicted).  The owning cache keeps the statistics and the eviction listener.
+Keys are opaque hashables; values must not be ``None``, which ``get`` returns
+for a miss.
 
-Every policy keeps its per-set state in a plain insertion-ordered ``dict``:
-iteration order is the tie-break (oldest first), and only LRU ever moves a
-key, by popping and re-adding it.
+``entries`` is a plain insertion-ordered ``dict``, and its order is the
+tie-break (oldest first): LRU moves a key to the end on every use, so the
+order is its recency order; FIFO, LFU, random and oracle never move a key.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 
 class ReplacementPolicy(ABC):
-    """Interface implemented by every per-set replacement policy."""
+    """One cache set: its entries, their replacement state and its pins.
 
-    @abstractmethod
-    def on_hit(self, key: Hashable) -> None:
-        """Record a hit on ``key``."""
+    A pinned entry is a prefetch fill that victim selection skips until its
+    first hit.  At most ``pin_capacity`` entries are pinned at once
+    (``ways - 2`` above 2 ways, 1 at 2 ways, none at 1 way), so a fill
+    always finds an unpinned victim; a new pin past the budget releases
+    the oldest.
+    """
 
-    @abstractmethod
-    def on_fill(self, key: Hashable) -> None:
-        """Record that ``key`` was inserted into the set."""
+    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint);
+    #: subclasses extend it.
+    _state_fields = ("ways", "pin_capacity", "entries", "_pins")
 
-    @abstractmethod
-    def on_evict(self, key: Hashable) -> None:
-        """Record that ``key`` was removed from the set."""
+    def __init__(self, ways: int):
+        if ways < 1:
+            raise ValueError("ways must be positive")
+        self.ways = ways
+        if ways > 2:
+            self.pin_capacity = ways - 2
+        elif ways == 2:
+            self.pin_capacity = 1
+        else:
+            self.pin_capacity = 0
+        #: Resident keys and their values, in replacement order.  Callers
+        #: may read it; only the set's own methods change it.
+        self.entries: Dict[Hashable, Any] = {}
+        #: Pinned keys, oldest pin first.
+        self._pins: Dict[Hashable, None] = {}
 
-    @abstractmethod
-    def victim(self, excluding=frozenset()) -> Hashable:
-        """Return the key that should be evicted next.
+    def get(self, key: Hashable) -> Optional[Any]:
+        """Return ``key``'s value, or ``None`` on a miss.
 
-        ``excluding`` holds keys that must not be chosen (pinned prefetch
-        entries awaiting their predicted use).  Returns ``None`` when every
-        tracked key is excluded.
+        A hit is a use of the entry: it updates the replacement state and
+        releases the entry's pin.
         """
+        value = self.entries.get(key)
+        if value is not None and self._pins:
+            self._pins.pop(key, None)
+        return value
+
+    def put(
+        self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
+    ) -> Optional[Hashable]:
+        """Fill or update ``key``; return the key evicted for it, or ``None``.
+
+        An update is a use of the entry.  ``priority`` > 0 promotes the
+        entry that many extra steps (:meth:`promote`); ``pinned`` pins it.
+        """
+        entries = self.entries
+        evicted = None
+        if key not in entries and len(entries) >= self.ways:
+            evicted = self._victim_for_fill()
+            del entries[evicted]
+        entries[key] = value
+        if pinned:
+            self._pin(key)
+        return evicted
 
     @abstractmethod
-    def keys(self):
-        """Return the keys currently tracked (iteration order unspecified)."""
+    def victim(self) -> Optional[Hashable]:
+        """Return the key a fill into this full set would evict.
+
+        Pinned keys are skipped; ``None`` when every resident key is
+        pinned.  Raises ``LookupError`` on an empty set.
+        """
 
     def promote(self, key: Hashable, steps: int = 1) -> None:
         """Raise ``key``'s replacement priority (prefetch-aware insertion).
 
         Used when a prefetched translation is installed: the entry must
         survive the window between install and predicted use, so it enters
-        with elevated priority.  Recency policies treat this as a touch;
+        with elevated priority.  Recency policies treat this as a use;
         frequency policies add ``steps`` to the counter.  Default: no-op.
         """
 
+    def remove(self, key: Hashable) -> bool:
+        """Drop ``key`` (and its pin); return whether it was resident."""
+        if key not in self.entries:
+            return False
+        del self.entries[key]
+        self._pins.pop(key, None)
+        return True
+
+    def clear(self) -> None:
+        """Drop every entry and pin."""
+        self.entries.clear()
+        self._pins.clear()
+
+    def keys(self):
+        """The resident keys, in replacement order."""
+        return self.entries.keys()
+
     def __len__(self) -> int:
-        return len(list(self.keys()))
+        return len(self.entries)
 
+    def _victim_for_fill(self) -> Hashable:
+        """The victim of a fill into this full set, its pin released.
 
-class LruPolicy(ReplacementPolicy):
-    """Least-recently-used eviction."""
+        If every resident entry is pinned (cannot happen while
+        ``pin_capacity < ways``, but stay safe) the oldest pin is recycled.
+        """
+        victim = self.victim()
+        if victim is None:
+            victim = next(iter(self._pins))
+        self._pins.pop(victim, None)
+        return victim
 
-    #: Instance attributes a checkpoint pickles (repro.sim.checkpoint).
-    _state_fields = ("_order",)
-
-    def __init__(self):
-        #: Keys from least to most recently used.
-        self._order: Dict[Hashable, None] = {}
-
-    def on_hit(self, key: Hashable) -> None:
-        order = self._order
-        order[key] = order.pop(key)
-
-    def on_fill(self, key: Hashable) -> None:
-        order = self._order
-        order.pop(key, None)
-        order[key] = None
-
-    def on_evict(self, key: Hashable) -> None:
-        del self._order[key]
-
-    def promote(self, key: Hashable, steps: int = 1) -> None:
-        self.on_hit(key)
-
-    def victim(self, excluding=frozenset()) -> Hashable:
-        if not self._order:
+    def _first_unpinned(self) -> Optional[Hashable]:
+        """The oldest resident key that is not pinned (LRU and FIFO)."""
+        entries = self.entries
+        if not entries:
             raise LookupError("victim() on an empty set")
-        for key in self._order:
-            if key not in excluding:
+        pins = self._pins
+        for key in entries:
+            if key not in pins:
                 return key
         return None
 
-    def keys(self):
-        return self._order.keys()
+    def _pin(self, key: Hashable) -> None:
+        if self.pin_capacity == 0:
+            return
+        pins = self._pins
+        pins.pop(key, None)
+        while len(pins) >= self.pin_capacity:
+            del pins[next(iter(pins))]
+        pins[key] = None
+
+
+class LruPolicy(ReplacementPolicy):
+    """Least-recently-used eviction: ``entries`` runs from least to most
+    recently used."""
+
+    # ``get`` and ``put`` make no further calls on their common paths: the
+    # context cache and the prefetch buffer (both LRU) are used on every
+    # IOMMU translation and every DevTLB miss.
+    def get(self, key: Hashable) -> Optional[Any]:
+        entries = self.entries
+        if key not in entries:
+            return None
+        value = entries[key] = entries.pop(key)
+        if self._pins:
+            self._pins.pop(key, None)
+        return value
+
+    def put(
+        self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
+    ) -> Optional[Hashable]:
+        entries = self.entries
+        evicted = None
+        if key in entries:
+            del entries[key]
+        elif len(entries) >= self.ways:
+            evicted = (
+                self._victim_for_fill() if self._pins else next(iter(entries))
+            )
+            del entries[evicted]
+        # Appending makes the key the most recent, which is also all that
+        # a promotion would do.
+        entries[key] = value
+        if pinned:
+            self._pin(key)
+        return evicted
+
+    def promote(self, key: Hashable, steps: int = 1) -> None:
+        entries = self.entries
+        entries[key] = entries.pop(key)
+
+    def victim(self) -> Optional[Hashable]:
+        return self._first_unpinned()
 
 
 class FifoPolicy(ReplacementPolicy):
     """First-in-first-out eviction (insertion order, hits ignored)."""
 
-    _state_fields = ("_order",)
-
-    def __init__(self):
-        self._order: Dict[Hashable, None] = {}
-
-    def on_hit(self, key: Hashable) -> None:
-        pass
-
-    def on_fill(self, key: Hashable) -> None:
-        self._order[key] = None
-
-    def on_evict(self, key: Hashable) -> None:
-        del self._order[key]
-
-    def victim(self, excluding=frozenset()) -> Hashable:
-        if not self._order:
-            raise LookupError("victim() on an empty set")
-        for key in self._order:
-            if key not in excluding:
-                return key
-        return None
-
-    def keys(self):
-        return self._order.keys()
+    def victim(self) -> Optional[Hashable]:
+        return self._first_unpinned()
 
 
 class LfuPolicy(ReplacementPolicy):
@@ -139,92 +214,119 @@ class LfuPolicy(ReplacementPolicy):
     makes the policy deterministic.
     """
 
-    _state_fields = ("counter_max", "_counts")
+    _state_fields = ReplacementPolicy._state_fields + ("counter_max", "_counts")
 
-    def __init__(self, counter_bits: int = 4):
+    def __init__(self, ways: int, counter_bits: int = 4):
+        super().__init__(ways)
         if counter_bits < 1:
             raise ValueError("counter_bits must be >= 1")
         self.counter_max = (1 << counter_bits) - 1
+        #: Each resident key's counter, in the same order as ``entries``.
         self._counts: Dict[Hashable, int] = {}
 
-    def on_hit(self, key: Hashable) -> None:
-        self._bump(key)
+    def get(self, key: Hashable) -> Optional[Any]:
+        # ``promote(key)`` inlined, and no call on a miss: most walk-cache
+        # lookups miss, and a hit makes no further call.
+        counts = self._counts
+        if key not in counts:
+            return None
+        count = counts[key]
+        if count >= self.counter_max:
+            for other in counts:
+                counts[other] //= 2
+            count = counts[key]
+        counts[key] = count + 1
+        if self._pins:
+            self._pins.pop(key, None)
+        return self.entries[key]
 
-    def on_fill(self, key: Hashable) -> None:
-        # The first count: 1 never saturates (counter_max >= 1).
-        self._counts[key] = 1
+    def put(
+        self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
+    ) -> Optional[Hashable]:
+        entries = self.entries
+        counts = self._counts
+        evicted = None
+        if key in entries:
+            entries[key] = value
+            self.promote(key, 1 + priority)
+        else:
+            if len(entries) >= self.ways:
+                if self._pins:
+                    evicted = self._victim_for_fill()
+                else:
+                    # The walk caches' path: every count is at most
+                    # counter_max, so the first key scanned always beats
+                    # this bound; strict ``<`` keeps the oldest of a tie.
+                    least = self.counter_max + 1
+                    for candidate, count in counts.items():
+                        if count < least:
+                            evicted, least = candidate, count
+                del entries[evicted]
+                del counts[evicted]
+            entries[key] = value
+            # The first count: 1 never saturates (counter_max >= 1).
+            counts[key] = 1
+            if priority:
+                self.promote(key, priority)
+        if pinned:
+            self._pin(key)
+        return evicted
 
     def promote(self, key: Hashable, steps: int = 1) -> None:
+        counts = self._counts
         for _ in range(steps):
-            self._bump(key)
+            count = counts[key]
+            if count >= self.counter_max:
+                # Saturation: halve every counter in the row, then count
+                # this use.
+                for other in counts:
+                    counts[other] //= 2
+                count = counts[key]
+            counts[key] = count + 1
 
-    def on_evict(self, key: Hashable) -> None:
-        del self._counts[key]
-
-    def victim(self, excluding=frozenset()) -> Hashable:
-        if not self._counts:
+    def victim(self) -> Optional[Hashable]:
+        counts = self._counts
+        if not counts:
             raise LookupError("victim() on an empty set")
-        # Every count is at most counter_max, so the first key scanned
-        # always beats this bound; strict ``<`` keeps the oldest of a tie.
+        pins = self._pins
         best_key, best_count = None, self.counter_max + 1
-        if excluding:
-            for key, count in self._counts.items():
-                if key in excluding:
-                    continue
-                if count < best_count:
-                    best_key, best_count = key, count
-        else:
-            # Hot path: no pinned entries to skip.
-            for key, count in self._counts.items():
-                if count < best_count:
-                    best_key, best_count = key, count
+        for key, count in counts.items():
+            if count < best_count and key not in pins:
+                best_key, best_count = key, count
         return best_key
 
-    def keys(self):
-        return self._counts.keys()
+    def remove(self, key: Hashable) -> bool:
+        if not super().remove(key):
+            return False
+        del self._counts[key]
+        return True
+
+    def clear(self) -> None:
+        super().clear()
+        self._counts.clear()
 
     def counter(self, key: Hashable) -> int:
         """Current counter value for ``key`` (for tests and introspection)."""
         return self._counts[key]
 
-    def _bump(self, key: Hashable) -> None:
-        count = self._counts[key] + 1
-        if count > self.counter_max:
-            # Saturation: halve every counter in the row, then count this hit.
-            for other in self._counts:
-                self._counts[other] //= 2
-            count = self._counts[key] + 1
-        self._counts[key] = count
-
 
 class RandomPolicy(ReplacementPolicy):
     """Uniform-random eviction with a seeded generator (reproducible)."""
 
-    _state_fields = ("_rng", "_keys")
+    _state_fields = ReplacementPolicy._state_fields + ("_rng",)
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, ways: int, seed: int = 0):
+        super().__init__(ways)
         self._rng = random.Random(seed)
-        self._keys: Dict[Hashable, None] = {}
 
-    def on_hit(self, key: Hashable) -> None:
-        pass
-
-    def on_fill(self, key: Hashable) -> None:
-        self._keys[key] = None
-
-    def on_evict(self, key: Hashable) -> None:
-        del self._keys[key]
-
-    def victim(self, excluding=frozenset()) -> Hashable:
-        if not self._keys:
+    def victim(self) -> Optional[Hashable]:
+        if not self.entries:
             raise LookupError("victim() on an empty set")
-        candidates = [key for key in self._keys if key not in excluding]
+        pins = self._pins
+        candidates = [key for key in self.entries if key not in pins]
         if not candidates:
             return None
         return self._rng.choice(candidates)
-
-    def keys(self):
-        return self._keys.keys()
 
 
 class OraclePolicy(ReplacementPolicy):
@@ -236,27 +338,21 @@ class OraclePolicy(ReplacementPolicy):
     that callable current as the trace advances.
     """
 
-    _state_fields = ("_next_use", "_keys")
+    _state_fields = ReplacementPolicy._state_fields + ("_next_use",)
 
-    def __init__(self, next_use: Callable[[Hashable], Optional[float]]):
+    def __init__(
+        self, ways: int, next_use: Callable[[Hashable], Optional[float]]
+    ):
+        super().__init__(ways)
         self._next_use = next_use
-        self._keys: Dict[Hashable, None] = {}
 
-    def on_hit(self, key: Hashable) -> None:
-        pass
-
-    def on_fill(self, key: Hashable) -> None:
-        self._keys[key] = None
-
-    def on_evict(self, key: Hashable) -> None:
-        del self._keys[key]
-
-    def victim(self, excluding=frozenset()) -> Hashable:
-        if not self._keys:
+    def victim(self) -> Optional[Hashable]:
+        if not self.entries:
             raise LookupError("victim() on an empty set")
+        pins = self._pins
         best_key, best_distance = None, -1.0
-        for key in self._keys:
-            if key in excluding:
+        for key in self.entries:
+            if key in pins:
                 continue
             distance = self._next_use(key)
             if distance is None:
@@ -265,14 +361,11 @@ class OraclePolicy(ReplacementPolicy):
                 best_key, best_distance = key, distance
         return best_key
 
-    def keys(self):
-        return self._keys.keys()
-
 
 #: Registry mapping policy names (as used in configs and the paper's figures)
-#: to factories.  Oracle is absent here because it needs future knowledge;
-#: use :func:`make_policy_factory` with a ``next_use`` callable.
-POLICY_FACTORIES: Dict[str, Callable[[], ReplacementPolicy]] = {
+#: to per-set classes.  Oracle is absent here because it needs future
+#: knowledge; use :func:`make_policy_factory` with a ``next_use`` callable.
+POLICY_FACTORIES: Dict[str, Callable[[int], ReplacementPolicy]] = {
     "lru": LruPolicy,
     "fifo": FifoPolicy,
     "lfu": LfuPolicy,
@@ -282,8 +375,8 @@ POLICY_FACTORIES: Dict[str, Callable[[], ReplacementPolicy]] = {
 
 def make_policy_factory(
     name: str, next_use: Optional[Callable[[Hashable], Optional[float]]] = None
-) -> Callable[[], ReplacementPolicy]:
-    """Return a zero-argument factory building per-set policy instances.
+) -> Callable[[int], ReplacementPolicy]:
+    """Return a factory ``factory(ways)`` building one empty set.
 
     ``name`` is one of ``lru``, ``fifo``, ``lfu``, ``random`` or ``oracle``;
     the latter requires ``next_use``.
@@ -292,7 +385,7 @@ def make_policy_factory(
     if lowered == "oracle":
         if next_use is None:
             raise ValueError("oracle policy requires a next_use callable")
-        return lambda: OraclePolicy(next_use)
+        return lambda ways: OraclePolicy(ways, next_use)
     try:
         return POLICY_FACTORIES[lowered]
     except KeyError:

@@ -9,7 +9,7 @@ and the paper's SID-partitioned variants (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, NoReturn, Optional
+from typing import Any, Callable, Hashable, List, NoReturn, Optional
 
 from repro.cache.base import TranslationCache
 from repro.cache.policies import ReplacementPolicy, make_policy_factory
@@ -57,6 +57,11 @@ def single_set_indexer(key: Hashable, num_sets: int) -> int:
 class SetAssociativeCache(TranslationCache):
     """An ``num_sets`` x ``ways`` cache.
 
+    Each set is one :class:`~repro.cache.policies.ReplacementPolicy`
+    object holding the set's entries, replacement state and pins; the
+    cache picks the set, keeps :class:`~repro.cache.base.CacheStats` and
+    calls the eviction listener.
+
     Parameters
     ----------
     num_entries:
@@ -65,7 +70,7 @@ class SetAssociativeCache(TranslationCache):
         Associativity.  ``ways == num_entries`` makes it fully associative.
     policy:
         Replacement policy name (``lru``, ``lfu``, ``fifo``, ``random``,
-        ``oracle``); per-set instances are created from the factory.
+        ``oracle``); every set is one instance of it.
     indexer:
         ``callable(key, num_sets) -> set_index``.
     next_use:
@@ -79,8 +84,7 @@ class SetAssociativeCache(TranslationCache):
     _sid_sets = 0
 
     _state_fields = TranslationCache._state_fields + (
-        "num_entries", "ways", "num_sets", "policy_name", "_indexer",
-        "_policies", "_sets", "_pinned", "pin_capacity",
+        "num_entries", "ways", "num_sets", "policy_name", "_indexer", "_sets",
     )
 
     def __init__(
@@ -105,26 +109,29 @@ class SetAssociativeCache(TranslationCache):
         self.policy_name = policy.lower()
         self._indexer = indexer
         factory = make_policy_factory(policy, next_use)
-        self._policies: List[ReplacementPolicy] = [factory() for _ in range(self.num_sets)]
-        self._sets: List[Dict[Hashable, Any]] = [{} for _ in range(self.num_sets)]
-        # Pinned prefetch entries per set (insertion-ordered so the oldest
-        # pin is recycled first).  The budget leaves at least one way per
-        # set unpinned (two above 2 ways), so demand fills always find a
-        # victim; a direct-mapped cache pins nothing.
-        self._pinned: List[Dict[Hashable, None]] = [{} for _ in range(self.num_sets)]
-        if ways > 2:
-            self.pin_capacity = ways - 2
-        elif ways == 2:
-            self.pin_capacity = 1
-        else:
-            self.pin_capacity = 0
+        self._sets: List[ReplacementPolicy] = [
+            factory(ways) for _ in range(self.num_sets)
+        ]
+
+    @property
+    def pin_capacity(self) -> int:
+        """Most entries a set pins at once (see
+        :class:`~repro.cache.policies.ReplacementPolicy`)."""
+        return self._sets[0].pin_capacity
 
     # ------------------------------------------------------------------
-    def _set_for(self, key: Hashable) -> int:
+    def set_for(self, key: Hashable) -> ReplacementPolicy:
+        """The set ``key`` maps to, by the indexer."""
         index = self._indexer(key, self.num_sets)
         if not 0 <= index < self.num_sets:
             self._out_of_range(index)
-        return index
+        return self._sets[index]
+
+    def sid_set(self, sid: int) -> Optional[ReplacementPolicy]:
+        """The one set every ``(sid, ...)`` key maps to, or ``None`` when
+        the set also depends on the rest of the key."""
+        sid_sets = self._sid_sets
+        return self._sets[sid % sid_sets] if sid_sets else None
 
     def _out_of_range(self, index: int) -> NoReturn:
         raise ValueError(
@@ -137,9 +144,9 @@ class SetAssociativeCache(TranslationCache):
             f"got {key!r}"
         )
 
-    # ``lookup`` and ``insert`` run once per cache access on the walk path,
-    # so each computes its set index inline (the same value ``_set_for``
-    # returns) rather than through a chain of calls.
+    # ``lookup`` and ``insert`` run on every DevTLB and IOTLB access, so
+    # each computes its set index inline (the set ``set_for`` returns)
+    # rather than through a chain of calls.
     def lookup(self, key: Hashable) -> Optional[Any]:
         sid_sets = self._sid_sets
         if sid_sets:
@@ -151,15 +158,12 @@ class SetAssociativeCache(TranslationCache):
             index = self._indexer(key, num_sets)
             if not 0 <= index < num_sets:
                 self._out_of_range(index)
-        entry_set = self._sets[index]
-        if key in entry_set:
+        value = self._sets[index].get(key)
+        if value is None:
+            self.stats.misses += 1
+        else:
             self.stats.hits += 1
-            self._policies[index].on_hit(key)
-            # First use of a pinned prefetch entry releases the pin.
-            self._pinned[index].pop(key, None)
-            return entry_set[key]
-        self.stats.misses += 1
-        return None
+        return value
 
     def insert(
         self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
@@ -184,81 +188,42 @@ class SetAssociativeCache(TranslationCache):
             if not 0 <= index < num_sets:
                 self._out_of_range(index)
         entry_set = self._sets[index]
-        policy = self._policies[index]
-        pins = self._pinned[index]
-        if key in entry_set:
-            entry_set[key] = value
-            policy.on_hit(key)
-            if priority:
-                policy.promote(key, priority)
-            if pinned:
-                self._pin(pins, key)
+        if key in entry_set.entries:
+            entry_set.put(key, value, priority, pinned)
             return
-        if len(entry_set) >= self.ways:
-            victim = policy.victim(excluding=pins)
-            if victim is None:
-                # Every resident entry is pinned (cannot happen while
-                # pin_capacity < ways, but stay safe): recycle the oldest
-                # pin.
-                victim = next(iter(pins))
-                del pins[victim]
-            policy.on_evict(victim)
-            del entry_set[victim]
-            pins.pop(victim, None)
+        victim = entry_set.put(key, value, priority, pinned)
+        if victim is not None:
             self.stats.evictions += 1
             if self.eviction_listener is not None:
                 self.eviction_listener(key, victim)
-        entry_set[key] = value
-        policy.on_fill(key)
-        if priority:
-            policy.promote(key, priority)
-        if pinned:
-            self._pin(pins, key)
         self.stats.fills += 1
 
-    def _pin(self, pins: Dict[Hashable, None], key: Hashable) -> None:
-        if self.pin_capacity == 0:
-            return
-        pins.pop(key, None)
-        while len(pins) >= self.pin_capacity:
-            del pins[next(iter(pins))]
-        pins[key] = None
-
     def probe(self, key: Hashable) -> Optional[Any]:
-        return self._sets[self._set_for(key)].get(key)
+        return self.set_for(key).entries.get(key)
 
     def invalidate(self, key: Hashable) -> bool:
-        index = self._set_for(key)
-        entry_set = self._sets[index]
-        if key not in entry_set:
+        if not self.set_for(key).remove(key):
             return False
-        self._policies[index].on_evict(key)
-        del entry_set[key]
-        self._pinned[index].pop(key, None)
         self.stats.invalidations += 1
         return True
 
     def invalidate_all(self) -> None:
-        for index, entry_set in enumerate(self._sets):
-            policy = self._policies[index]
-            for key in list(entry_set):
-                policy.on_evict(key)
+        for entry_set in self._sets:
             entry_set.clear()
-            self._pinned[index].clear()
         self.stats.invalidations += 1
 
     def __len__(self) -> int:
-        return sum(len(entry_set) for entry_set in self._sets)
+        return sum(len(entry_set.entries) for entry_set in self._sets)
 
     # ------------------------------------------------------------------
     def set_occupancy(self, index: int) -> int:
         """Number of valid entries in set ``index`` (for tests/analysis)."""
-        return len(self._sets[index])
+        return len(self._sets[index].entries)
 
     def keys(self):
         """Iterate over all cached keys (unspecified order)."""
         for entry_set in self._sets:
-            yield from entry_set
+            yield from entry_set.entries
 
 
 class FullyAssociativeCache(SetAssociativeCache):

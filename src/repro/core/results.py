@@ -140,6 +140,17 @@ class SimulationResult:
             f"{self.latency.percentile(95):.0f}/"
             f"{self.latency.percentile(99):.0f} ns"
         )
+        # Why a walk costs what it does: every IOTLB miss walks, and every
+        # PTE-cache miss is one DRAM read of that walk.
+        stats = self.cache_stats
+        if {"iotlb", "nested_tlb", "pte_cache"} <= stats.keys():
+            walks = stats["iotlb"].misses
+            reads = stats["pte_cache"].misses / walks if walks else 0.0
+            line += (
+                f", walks: nested-TLB hit {self.hit_rate('nested_tlb') * 100.0:.1f}%, "
+                f"PTE-cache hit {self.hit_rate('pte_cache') * 100.0:.1f}%, "
+                f"{reads:.1f} DRAM reads/walk"
+            )
         # Fault-injected drop causes (anything beyond the paper's
         # PTB-overflow drop-and-retry) get called out explicitly.
         injected = {

@@ -84,7 +84,9 @@ class Iommu:
     nested_tlb:
         Nested-translation cache keyed by ``(sid, gpa_page)``.
     pte_cache:
-        Page-table-entry cache keyed by ``(sid, entry_hpa)``.
+        Page-table-entry cache keyed by ``(sid, entry_hpa)``.  The two walk
+        caches are set-associative: :meth:`charge_walk` works on their
+        sets directly.
     walker_for_sid:
         Callable returning the :class:`TwoDimensionalWalker` of a tenant.
     memory:
@@ -100,8 +102,8 @@ class Iommu:
     def __init__(
         self,
         iotlb: TranslationCache,
-        nested_tlb: TranslationCache,
-        pte_cache: TranslationCache,
+        nested_tlb: SetAssociativeCache,
+        pte_cache: SetAssociativeCache,
         walker_for_sid: Callable[[int], TwoDimensionalWalker],
         memory: MainMemory,
         context_cache: Optional[ContextCache] = None,
@@ -146,7 +148,7 @@ class Iommu:
             )
 
         walk = self._walker_for_sid(sid).walk(giova)
-        walk_latency, accesses, nested_hits, nested_misses = self._charge_walk(
+        walk_latency, accesses, nested_hits, nested_misses = self.charge_walk(
             sid, walk
         )
         latency += walk_latency
@@ -163,26 +165,47 @@ class Iommu:
         )
 
     # ------------------------------------------------------------------
-    def _charge_walk(self, sid: int, walk: TwoDimensionalWalk):
-        """Charge latency for a 2-D walk given the walk caches' contents.
+    def charge_walk(self, sid: int, walk: TwoDimensionalWalk):
+        """Charge a 2-D walk against the walk caches' contents.
 
-        Every access is one ``lookup`` and every miss one ``insert``.  The
-        bound methods are read from the instances on each walk, so a
-        wrapper installed on a cache instance still sees every call.
+        Returns ``(latency, accesses, nested_hits, nested_misses)``.  Each
+        phase first looks its guest-physical page up in the nested TLB; a
+        miss host-walks the page through the PTE cache and then fills the
+        nested TLB.  The phase's guest entry, if any, is then read through
+        the PTE cache.  Every access adds one latency term, in walk order:
+        ``cache_hit_ns`` on a hit, one DRAM read on a PTE-cache miss.  Every
+        miss fills its cache, and each eviction reaches the cache's
+        ``eviction_listener`` in walk order.
+
+        One pass over the phases calls the sets' ``get`` and ``put``
+        directly.  A cache whose partitions are one set each (every
+        HyperTRIO walk cache) gives the walk's SID one set, fetched once;
+        any other cache picks the set per access through its indexer.  The
+        walk's hit, miss, fill and eviction counts and its DRAM reads are
+        added to the caches' and the memory's statistics once, at the end.
         """
-        nested_lookup = self.nested_tlb.lookup
-        nested_insert = self.nested_tlb.insert
-        pte_lookup = self.pte_cache.lookup
-        pte_insert = self.pte_cache.insert
-        read = self.memory.read
+        nested = self.nested_tlb
+        pte = self.pte_cache
+        nested_sid_set = nested.sid_set(sid)
+        pte_sid_set = pte.sid_set(sid)
+        nested_listener = nested.eviction_listener
+        pte_listener = pte.eviction_listener
         hit_ns = self.timings.cache_hit_ns
+        read_ns = self.memory.latency_ns
         latency = 0.0
         accesses = 0
+        pte_hits = 0
+        pte_evictions = 0
         nested_hits = 0
         nested_misses = 0
+        nested_evictions = 0
         for phase in walk.phases:
             nested_key = (sid, phase.gpa_page)
-            if nested_lookup(nested_key) is not None:
+            nested_set = (
+                nested_sid_set if nested_sid_set is not None
+                else nested.set_for(nested_key)
+            )
+            if nested_set.get(nested_key) is not None:
                 nested_hits += 1
                 latency += hit_ns
             else:
@@ -191,24 +214,57 @@ class Iommu:
                 # first tries the PTE cache.
                 for step in phase.host_steps:
                     pte_key = (sid, step.entry_address)
-                    if pte_lookup(pte_key) is not None:
+                    pte_set = (
+                        pte_sid_set if pte_sid_set is not None
+                        else pte.set_for(pte_key)
+                    )
+                    if pte_set.get(pte_key) is not None:
+                        pte_hits += 1
                         latency += hit_ns
                     else:
-                        latency += read("pte")
+                        latency += read_ns
                         accesses += 1
-                        pte_insert(pte_key, True)
-                nested_insert(nested_key, True)
+                        victim = pte_set.put(pte_key, True)
+                        if victim is not None:
+                            pte_evictions += 1
+                            if pte_listener is not None:
+                                pte_listener(pte_key, victim)
+                victim = nested_set.put(nested_key, True)
+                if victim is not None:
+                    nested_evictions += 1
+                    if nested_listener is not None:
+                        nested_listener(nested_key, victim)
             guest_entry_hpa = phase.guest_entry_hpa
             if guest_entry_hpa is not None:
                 # Reading the guest page-table entry itself (also cacheable:
                 # a tenant's upper guest entries repeat across packets).
                 guest_key = (sid, guest_entry_hpa)
-                if pte_lookup(guest_key) is not None:
+                pte_set = (
+                    pte_sid_set if pte_sid_set is not None
+                    else pte.set_for(guest_key)
+                )
+                if pte_set.get(guest_key) is not None:
+                    pte_hits += 1
                     latency += hit_ns
                 else:
-                    latency += read("pte")
+                    latency += read_ns
                     accesses += 1
-                    pte_insert(guest_key, True)
+                    victim = pte_set.put(guest_key, True)
+                    if victim is not None:
+                        pte_evictions += 1
+                        if pte_listener is not None:
+                            pte_listener(guest_key, victim)
+        stats = nested.stats
+        stats.hits += nested_hits
+        stats.misses += nested_misses
+        stats.fills += nested_misses
+        stats.evictions += nested_evictions
+        stats = pte.stats
+        stats.hits += pte_hits
+        stats.misses += accesses
+        stats.fills += accesses
+        stats.evictions += pte_evictions
+        self.memory.record_reads(accesses, "pte")
         return latency, accesses, nested_hits, nested_misses
 
     # ------------------------------------------------------------------

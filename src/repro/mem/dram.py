@@ -46,11 +46,17 @@ class MainMemory:
         during a walk) or ``"history"`` (the IOVA history reader fetching a
         tenant's recent gIOVAs).
         """
-        self.stats.reads += 1
+        self.record_reads(1, kind)
+        return self.latency_ns
+
+    def record_reads(self, count: int, kind: str = "data") -> None:
+        """Account for ``count`` reads whose latency the caller charges
+        itself (the IOMMU adds one ``latency_ns`` per walk read)."""
+        stats = self.stats
+        stats.reads += count
         if kind == "pte":
-            self.stats.page_table_reads += 1
+            stats.page_table_reads += count
         elif kind == "history":
-            self.stats.history_reads += 1
+            stats.history_reads += count
         elif kind != "data":
             raise ValueError(f"unknown access kind {kind!r}")
-        return self.latency_ns

@@ -79,7 +79,17 @@ from repro.trace.constructor import HyperTrace
 from repro.trace.records import compute_trace_stats
 
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+
+#: Why each earlier format version cannot be read, quoted in the refusal.
+_OLD_VERSIONS = {
+    1: "it pickled the whole trace",
+    2: "its stream pickles result and simulator classes this build no "
+       "longer has",
+    3: "its stream pickles every state object through its __dict__",
+    4: "its stream pickles each cache's sets as three parallel lists of "
+       "entries, policies and pins, not one object per set",
+}
 
 PathLike = Union[str, os.PathLike]
 
@@ -269,9 +279,11 @@ class SimulationCheckpoint:
                 header = pickle.load(handle)
                 version = header.get("version")
                 if version != CHECKPOINT_VERSION:
+                    reason = _OLD_VERSIONS.get(version)
                     raise CheckpointError(
                         f"checkpoint {path} has format version {version}; "
                         f"this build reads version {CHECKPOINT_VERSION}"
+                        + (f" ({reason})" if reason else "")
                     )
                 trace = _rebuild_inputs(path, header["inputs"])
                 state = _StateUnpickler(handle, trace).load()

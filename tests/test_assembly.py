@@ -117,6 +117,20 @@ class TestSimulationResult:
         assert "Base" in summary
         assert "iperf3" in summary
 
+    def test_summary_explains_walk_cost(self):
+        result = _dummy_result(cache_stats={
+            "devtlb": CacheStats(hits=3, misses=1),
+            "iotlb": CacheStats(hits=0, misses=40),
+            "nested_tlb": CacheStats(hits=25, misses=75),
+            "pte_cache": CacheStats(hits=20, misses=780),
+        })
+        summary = result.summary()
+        assert "\n" not in summary
+        assert (
+            "walks: nested-TLB hit 25.0%, PTE-cache hit 2.5%, "
+            "19.5 DRAM reads/walk"
+        ) in summary
+
 
 class TestCacheStats:
     def test_rates(self):

@@ -311,11 +311,12 @@ class TestCheckpointValidation:
             ckpt.SimulationCheckpoint.load(path)
 
     def test_version_skew(self, tmp_path):
-        """A future version is refused, and so are version 3, whose state
-        stream pickles objects through their ``__dict__``, and version 2,
-        whose stream pickles result and simulator classes this build no
-        longer has, before any unpickling could fail on them."""
-        for version in (ckpt.CHECKPOINT_VERSION + 1, 3, 2):
+        """A future version is refused, and so are version 4, whose state
+        stream pickles a cache's sets as three parallel lists, version 3,
+        whose stream pickles objects through their ``__dict__``, and
+        version 2, whose stream pickles result and simulator classes this
+        build no longer has, before any unpickling could fail on them."""
+        for version in (ckpt.CHECKPOINT_VERSION + 1, 4, 3, 2):
             path = tmp_path / f"v{version}.ckpt"
             payload = {"version": version, "engine": "analytic",
                        "packets_done": 0, "config": {}, "state": {}}
@@ -324,7 +325,7 @@ class TestCheckpointValidation:
                 pickle.dump(payload, handle)
             with pytest.raises(
                 ckpt.CheckpointError,
-                match=f"format version {version}; this build reads version 4",
+                match=f"format version {version}; this build reads version 5",
             ):
                 ckpt.SimulationCheckpoint.load(path)
 
@@ -337,6 +338,16 @@ class TestCheckpointValidation:
             handle.write(ckpt.CHECKPOINT_MAGIC)
             pickle.dump(payload, handle)
         with pytest.raises(ckpt.CheckpointError, match="format version 1;"):
+            ckpt.SimulationCheckpoint.load(path)
+
+    def test_version_4_refusal_names_the_per_set_change(self, tmp_path):
+        path = tmp_path / "v4.ckpt"
+        payload = {"version": 4, "engine": "analytic", "packets_done": 0,
+                   "config": {}, "state": {}}
+        with open(path, "wb") as handle:
+            handle.write(ckpt.CHECKPOINT_MAGIC)
+            pickle.dump(payload, handle)
+        with pytest.raises(ckpt.CheckpointError, match="not one object per set"):
             ckpt.SimulationCheckpoint.load(path)
 
     def test_engine_mismatch(self, tmp_path):
@@ -410,7 +421,7 @@ class TestSnapshotFormat:
             checkpoint_every=150, checkpoint_path=path,
         )
         header, state = read_parts(path)
-        assert header["version"] == 4 and header["inputs"]["packets"] is None
+        assert header["version"] == 5 and header["inputs"]["packets"] is None
         trace = header["inputs"]["recipe"].build()
         roots = _InputRefusingUnpickler(io.BytesIO(state), trace).load()
         assert sorted(roots) == ["loop", "router", "sim"]

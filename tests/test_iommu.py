@@ -1,15 +1,19 @@
 """Unit tests for the IOMMU translate path and context cache."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.cache.partitioned import PartitionedCache
 from repro.cache.setassoc import SetAssociativeCache
 from repro.iommu.context import ContextCache, ContextEntry, SourceId
 from repro.iommu.iommu import Iommu, IommuTimings
 from repro.mem.address import PAGE_SHIFT_2M
 from repro.mem.allocator import FrameAllocator
 from repro.mem.dram import MainMemory
-from repro.mem.pagetable import AddressSpace, TranslationFault
-from repro.mem.walker import TwoDimensionalWalker
+from repro.mem.pagetable import AddressSpace, TranslationFault, WalkStep
+from repro.mem.walker import NestedWalkPhase, TwoDimensionalWalk, TwoDimensionalWalker
 
 
 @pytest.fixture
@@ -168,3 +172,137 @@ class TestTranslatePath:
         outcome = iommu.translate(0, 0x3480_0000)
         assert iommu.memory.stats.page_table_reads == outcome.memory_accesses
         assert iommu.memory.stats.reads == outcome.memory_accesses
+
+
+# ----------------------------------------------------------------------
+# The one-pass walk charge against the per-access charge it replaced
+# ----------------------------------------------------------------------
+
+def charge_per_access(iommu, sid, walk):
+    """The reference: one ``lookup`` per walk-cache access, and one
+    ``insert`` and one ``memory.read("pte")`` per miss."""
+    nested, pte = iommu.nested_tlb, iommu.pte_cache
+    hit_ns = iommu.timings.cache_hit_ns
+    latency = 0.0
+    accesses = nested_hits = nested_misses = 0
+    for phase in walk.phases:
+        nested_key = (sid, phase.gpa_page)
+        if nested.lookup(nested_key) is not None:
+            nested_hits += 1
+            latency += hit_ns
+        else:
+            nested_misses += 1
+            for step in phase.host_steps:
+                pte_key = (sid, step.entry_address)
+                if pte.lookup(pte_key) is not None:
+                    latency += hit_ns
+                else:
+                    latency += iommu.memory.read("pte")
+                    accesses += 1
+                    pte.insert(pte_key, True)
+            nested.insert(nested_key, True)
+        if phase.guest_entry_hpa is not None:
+            guest_key = (sid, phase.guest_entry_hpa)
+            if pte.lookup(guest_key) is not None:
+                latency += hit_ns
+            else:
+                latency += iommu.memory.read("pte")
+                accesses += 1
+                pte.insert(guest_key, True)
+    return latency, accesses, nested_hits, nested_misses
+
+
+def oracle_next_use(key):
+    """A fixed future: some keys are never used again."""
+    distance = (key[0] * 31 + key[1] * 7) % 11
+    return None if distance == 0 else float(distance)
+
+
+#: How each layout builds a small walk cache with ``policy``.
+WALK_CACHE_LAYOUTS = {
+    "one-set partitions": lambda policy, name: PartitionedCache(
+        16, 4, num_partitions=4, policy=policy, name=name,
+        next_use=oracle_next_use,
+    ),
+    "multi-set partitions": lambda policy, name: PartitionedCache(
+        32, 4, num_partitions=2, policy=policy, name=name,
+        next_use=oracle_next_use,
+    ),
+    "address indexing": lambda policy, name: SetAssociativeCache(
+        16, 4, policy=policy, name=name, next_use=oracle_next_use,
+    ),
+}
+
+
+def random_walk(rng):
+    """A walk over small address pools, so that the caches both hit and
+    evict."""
+    phases = []
+    for level in range(rng.randint(2, 5), -1, -1):
+        steps = tuple(
+            WalkStep(4 - index, rng.randrange(48) * 8)
+            for index in range(rng.randint(1, 4))
+        )
+        phases.append(NestedWalkPhase(
+            guest_level=level,
+            gpa_page=rng.randrange(24) << 12,
+            host_steps=steps,
+            guest_entry_hpa=rng.randrange(48) * 8 if level else None,
+        ))
+    return TwoDimensionalWalk(giova=0, hpa=0, page_shift=12, phases=tuple(phases))
+
+
+def walk_iommu(layout, policy, evictions):
+    """An IOMMU with non-integer latencies whose walk caches log every
+    eviction into ``evictions``."""
+    iommu = Iommu(
+        iotlb=SetAssociativeCache(16, 4, name="iotlb"),
+        nested_tlb=WALK_CACHE_LAYOUTS[layout](policy, "nested"),
+        pte_cache=WALK_CACHE_LAYOUTS[layout](policy, "pte"),
+        walker_for_sid=None,
+        memory=MainMemory(latency_ns=49.7),
+        timings=IommuTimings(iotlb_hit_ns=2.0, cache_hit_ns=2.3),
+    )
+    for cache in (iommu.nested_tlb, iommu.pte_cache):
+        cache.eviction_listener = (
+            lambda key, victim, name=cache.name: evictions.append((name, key, victim))
+        )
+    return iommu
+
+
+def set_contents(cache):
+    """Each set's entries, pins and replacement state, in order."""
+    contents = []
+    for entry_set in cache._sets:
+        state = [list(entry_set.entries.items()), list(entry_set._pins)]
+        if hasattr(entry_set, "_counts"):
+            state.append(list(entry_set._counts.items()))
+        if hasattr(entry_set, "_rng"):
+            state.append(entry_set._rng.getstate())
+        contents.append(state)
+    return contents
+
+
+class TestChargeWalk:
+    @pytest.mark.parametrize("layout", sorted(WALK_CACHE_LAYOUTS))
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "fifo", "random", "oracle"])
+    def test_matches_per_access_charge(self, policy, layout):
+        reference_evictions, evictions = [], []
+        reference = walk_iommu(layout, policy, reference_evictions)
+        iommu = walk_iommu(layout, policy, evictions)
+        rng = random.Random(f"{policy}/{layout}")
+        for _ in range(300):
+            sid, walk = rng.randrange(6), random_walk(rng)
+            assert iommu.charge_walk(sid, walk) == charge_per_access(
+                reference, sid, walk
+            )
+        assert evictions == reference_evictions
+        assert len(evictions) > 100
+        assert dataclasses.asdict(iommu.memory.stats) == dataclasses.asdict(
+            reference.memory.stats
+        )
+        for name in ("nested_tlb", "pte_cache"):
+            cache, expected = getattr(iommu, name), getattr(reference, name)
+            assert dataclasses.asdict(cache.stats) == dataclasses.asdict(expected.stats)
+            assert expected.stats.hits > 0
+            assert set_contents(cache) == set_contents(expected)
