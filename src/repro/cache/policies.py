@@ -9,10 +9,11 @@ halved.
 
 Each policy object *is* one set (row) of a cache: it owns the row's entries,
 their replacement state and the row's pins, and answers ``get`` (a lookup
-that counts as a use) and ``put`` (a fill or update that returns the key it
-evicted).  The owning cache keeps the statistics and the eviction listener.
-Keys are opaque hashables; values must not be ``None``, which ``get`` returns
-for a miss.
+that counts as a use), ``put`` (a fill or update that returns the key it
+evicted) and ``access`` (a lookup that fills on a miss, the walk caches'
+one call per access).  The owning cache keeps the statistics and the
+eviction listener.  Keys are opaque hashables; values must not be ``None``,
+which ``get`` returns for a miss.
 
 ``entries`` is a plain insertion-ordered ``dict``, and its order is the
 tie-break (oldest first): LRU moves a key to the end on every use, so the
@@ -24,6 +25,18 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Hashable, Optional
+
+
+class _Hit:
+    """The type of :data:`HIT`."""
+
+    def __repr__(self) -> str:
+        return "HIT"
+
+
+#: What :meth:`ReplacementPolicy.access` returns on a hit: no key is this
+#: object, so it cannot be mistaken for an evicted key.
+HIT = _Hit()
 
 
 class ReplacementPolicy(ABC):
@@ -84,6 +97,17 @@ class ReplacementPolicy(ABC):
         if pinned:
             self._pin(key)
         return evicted
+
+    def access(self, key: Hashable, value: Any) -> Any:
+        """Look ``key`` up and fill it with ``value`` on a miss.
+
+        Returns :data:`HIT` on a hit (a use, as in :meth:`get`); on a miss
+        the unpinned fill's evicted key, or ``None`` when the set had room
+        (as :meth:`put` returns).
+        """
+        if self.get(key) is not None:
+            return HIT
+        return self.put(key, value)
 
     @abstractmethod
     def victim(self) -> Optional[Hashable]:
@@ -212,9 +236,21 @@ class LfuPolicy(ReplacementPolicy):
     (15 for 4 bits); when any counter saturates, all counters in the row are
     divided by two.  Ties are broken by insertion order (oldest first), which
     makes the policy deterministic.
+
+    The victim is the oldest unpinned key at the row's least count.  A fill
+    starts its key at 1 and only row halving lowers a counter, so the least
+    count is nearly always 1.  The set therefore keeps an index of the keys
+    at 0 or 1, in ``entries`` order, and counts those at 0.  Entry order
+    holds because a fill appends the newest key, a use only raises a
+    counter, and halving, the one step that lowers counters, rebuilds the
+    index.  A fill into a full row takes the index's first unpinned key;
+    only when some counter is 0 or no unpinned key is at 1 is the row
+    scanned.
     """
 
-    _state_fields = ReplacementPolicy._state_fields + ("counter_max", "_counts")
+    _state_fields = ReplacementPolicy._state_fields + (
+        "counter_max", "_counts", "_low", "_zeros",
+    )
 
     def __init__(self, ways: int, counter_bits: int = 4):
         super().__init__(ways)
@@ -223,19 +259,30 @@ class LfuPolicy(ReplacementPolicy):
         self.counter_max = (1 << counter_bits) - 1
         #: Each resident key's counter, in the same order as ``entries``.
         self._counts: Dict[Hashable, int] = {}
+        #: The keys whose counter is 0 or 1, in the same order as ``entries``.
+        self._low: Dict[Hashable, None] = {}
+        #: How many counters are 0.
+        self._zeros = 0
 
+    # ``get`` and ``access`` each inline one use of a counter (as
+    # ``promote(key)`` counts it), and ``access`` the fill: most walk-cache
+    # lookups miss, and neither a hit nor a fill makes a further call unless
+    # a counter saturates or the index cannot name the victim.  ``put``
+    # fills through ``access``.
     def get(self, key: Hashable) -> Optional[Any]:
-        # ``promote(key)`` inlined, and no call on a miss: most walk-cache
-        # lookups miss, and a hit makes no further call.
         counts = self._counts
         if key not in counts:
             return None
         count = counts[key]
         if count >= self.counter_max:
-            for other in counts:
-                counts[other] //= 2
+            self._halve()
             count = counts[key]
         counts[key] = count + 1
+        if count <= 1:
+            if count:
+                del self._low[key]
+            else:
+                self._zeros -= 1
         if self._pins:
             self._pins.pop(key, None)
         return self.entries[key]
@@ -244,32 +291,53 @@ class LfuPolicy(ReplacementPolicy):
         self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
     ) -> Optional[Hashable]:
         entries = self.entries
-        counts = self._counts
         evicted = None
         if key in entries:
             entries[key] = value
             self.promote(key, 1 + priority)
         else:
-            if len(entries) >= self.ways:
-                if self._pins:
-                    evicted = self._victim_for_fill()
-                else:
-                    # The walk caches' path: every count is at most
-                    # counter_max, so the first key scanned always beats
-                    # this bound; strict ``<`` keeps the oldest of a tie.
-                    least = self.counter_max + 1
-                    for candidate, count in counts.items():
-                        if count < least:
-                            evicted, least = candidate, count
-                del entries[evicted]
-                del counts[evicted]
-            entries[key] = value
-            # The first count: 1 never saturates (counter_max >= 1).
-            counts[key] = 1
+            evicted = self.access(key, value)
             if priority:
                 self.promote(key, priority)
         if pinned:
             self._pin(key)
+        return evicted
+
+    def access(self, key: Hashable, value: Any) -> Any:
+        counts = self._counts
+        if key in counts:
+            count = counts[key]
+            if count >= self.counter_max:
+                self._halve()
+                count = counts[key]
+            counts[key] = count + 1
+            if count <= 1:
+                if count:
+                    del self._low[key]
+                else:
+                    self._zeros -= 1
+            if self._pins:
+                self._pins.pop(key, None)
+            return HIT
+        entries = self.entries
+        low = self._low
+        evicted = None
+        if len(entries) >= self.ways:
+            if low and not (self._pins or self._zeros):
+                for evicted in low:
+                    break
+            else:
+                evicted = self._victim_for_fill()
+            count = counts[evicted]
+            del entries[evicted], counts[evicted]
+            if count <= 1:
+                del low[evicted]
+                if not count:
+                    self._zeros -= 1
+        entries[key] = value
+        # The first count: 1 never saturates (counter_max >= 1).
+        counts[key] = 1
+        low[key] = None
         return evicted
 
     def promote(self, key: Hashable, steps: int = 1) -> None:
@@ -277,18 +345,27 @@ class LfuPolicy(ReplacementPolicy):
         for _ in range(steps):
             count = counts[key]
             if count >= self.counter_max:
-                # Saturation: halve every counter in the row, then count
-                # this use.
-                for other in counts:
-                    counts[other] //= 2
+                self._halve()
                 count = counts[key]
             counts[key] = count + 1
+            if count <= 1:
+                if count:
+                    del self._low[key]
+                else:
+                    self._zeros -= 1
 
     def victim(self) -> Optional[Hashable]:
         counts = self._counts
         if not counts:
             raise LookupError("victim() on an empty set")
         pins = self._pins
+        if not self._zeros:
+            for key in self._low:
+                if key not in pins:
+                    return key
+        # Some counter is 0, or no unpinned key is at 1: scan the row.
+        # Every count is at most counter_max, so the first unpinned key
+        # beats this bound; strict ``<`` keeps the oldest of a tie.
         best_key, best_count = None, self.counter_max + 1
         for key, count in counts.items():
             if count < best_count and key not in pins:
@@ -298,12 +375,32 @@ class LfuPolicy(ReplacementPolicy):
     def remove(self, key: Hashable) -> bool:
         if not super().remove(key):
             return False
-        del self._counts[key]
+        count = self._counts.pop(key)
+        if count <= 1:
+            del self._low[key]
+            if not count:
+                self._zeros -= 1
         return True
 
     def clear(self) -> None:
         super().clear()
         self._counts.clear()
+        self._low.clear()
+        self._zeros = 0
+
+    def _halve(self) -> None:
+        """Saturation: halve every counter in the row, and rebuild the
+        index from the new counts."""
+        counts = self._counts
+        low = self._low = {}
+        zeros = 0
+        for key in counts:
+            count = counts[key] = counts[key] // 2
+            if count <= 1:
+                low[key] = None
+                if not count:
+                    zeros += 1
+        self._zeros = zeros
 
     def counter(self, key: Hashable) -> int:
         """Current counter value for ``key`` (for tests and introspection)."""

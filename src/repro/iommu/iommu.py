@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 from repro.cache.base import TranslationCache
 from repro.cache.partitioned import PartitionedCache
+from repro.cache.policies import HIT
 from repro.cache.setassoc import SetAssociativeCache
 from repro.iommu.context import ContextCache
 from repro.mem.address import page_number
@@ -170,19 +171,22 @@ class Iommu:
 
         Returns ``(latency, accesses, nested_hits, nested_misses)``.  Each
         phase first looks its guest-physical page up in the nested TLB; a
-        miss host-walks the page through the PTE cache and then fills the
-        nested TLB.  The phase's guest entry, if any, is then read through
-        the PTE cache.  Every access adds one latency term, in walk order:
+        miss fills the nested TLB and host-walks the page through the PTE
+        cache.  The phase's guest entry, if any, is then read through the
+        PTE cache.  Every access adds one latency term, in walk order:
         ``cache_hit_ns`` on a hit, one DRAM read on a PTE-cache miss.  Every
         miss fills its cache, and each eviction reaches the cache's
         ``eviction_listener`` in walk order.
 
-        One pass over the phases calls the sets' ``get`` and ``put``
-        directly.  A cache whose partitions are one set each (every
-        HyperTRIO walk cache) gives the walk's SID one set, fetched once;
-        any other cache picks the set per access through its indexer.  The
-        walk's hit, miss, fill and eviction counts and its DRAM reads are
-        added to the caches' and the memory's statistics once, at the end.
+        One pass over the phases makes one ``access`` call per access,
+        straight on the set.  Filling the nested TLB before the host walk
+        changes no result (the two caches share no set), and its eviction
+        is reported after the host walk's.  A cache whose partitions are
+        one set each (every HyperTRIO walk cache) gives the walk's SID one
+        set, fetched once; any other cache picks the set per access through
+        its indexer.  The walk's hit, miss, fill and eviction counts and its
+        DRAM reads are added to the caches' and the memory's statistics
+        once, at the end.
         """
         nested = self.nested_tlb
         pte = self.pte_cache
@@ -205,7 +209,8 @@ class Iommu:
                 nested_sid_set if nested_sid_set is not None
                 else nested.set_for(nested_key)
             )
-            if nested_set.get(nested_key) is not None:
+            nested_victim = nested_set.access(nested_key, True)
+            if nested_victim is HIT:
                 nested_hits += 1
                 latency += hit_ns
             else:
@@ -218,22 +223,21 @@ class Iommu:
                         pte_sid_set if pte_sid_set is not None
                         else pte.set_for(pte_key)
                     )
-                    if pte_set.get(pte_key) is not None:
+                    victim = pte_set.access(pte_key, True)
+                    if victim is HIT:
                         pte_hits += 1
                         latency += hit_ns
                     else:
                         latency += read_ns
                         accesses += 1
-                        victim = pte_set.put(pte_key, True)
                         if victim is not None:
                             pte_evictions += 1
                             if pte_listener is not None:
                                 pte_listener(pte_key, victim)
-                victim = nested_set.put(nested_key, True)
-                if victim is not None:
+                if nested_victim is not None:
                     nested_evictions += 1
                     if nested_listener is not None:
-                        nested_listener(nested_key, victim)
+                        nested_listener(nested_key, nested_victim)
             guest_entry_hpa = phase.guest_entry_hpa
             if guest_entry_hpa is not None:
                 # Reading the guest page-table entry itself (also cacheable:
@@ -243,13 +247,13 @@ class Iommu:
                     pte_sid_set if pte_sid_set is not None
                     else pte.set_for(guest_key)
                 )
-                if pte_set.get(guest_key) is not None:
+                victim = pte_set.access(guest_key, True)
+                if victim is HIT:
                     pte_hits += 1
                     latency += hit_ns
                 else:
                     latency += read_ns
                     accesses += 1
-                    victim = pte_set.put(guest_key, True)
                     if victim is not None:
                         pte_evictions += 1
                         if pte_listener is not None:

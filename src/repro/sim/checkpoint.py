@@ -79,7 +79,7 @@ from repro.trace.constructor import HyperTrace
 from repro.trace.records import compute_trace_stats
 
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: Why each earlier format version cannot be read, quoted in the refusal.
 _OLD_VERSIONS = {
@@ -89,6 +89,7 @@ _OLD_VERSIONS = {
     3: "its stream pickles every state object through its __dict__",
     4: "its stream pickles each cache's sets as three parallel lists of "
        "entries, policies and pins, not one object per set",
+    5: "its LFU sets carry no index of their count-0/1 keys",
 }
 
 PathLike = Union[str, os.PathLike]

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.policies import LfuPolicy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.core.config import DeviceConfig, base_config, hypertrio_config
 from repro.obs import Observability
@@ -311,12 +312,13 @@ class TestCheckpointValidation:
             ckpt.SimulationCheckpoint.load(path)
 
     def test_version_skew(self, tmp_path):
-        """A future version is refused, and so are version 4, whose state
+        """A future version is refused, and so are version 5, whose LFU
+        sets carry no index of their count-0/1 keys, version 4, whose state
         stream pickles a cache's sets as three parallel lists, version 3,
         whose stream pickles objects through their ``__dict__``, and
         version 2, whose stream pickles result and simulator classes this
         build no longer has, before any unpickling could fail on them."""
-        for version in (ckpt.CHECKPOINT_VERSION + 1, 4, 3, 2):
+        for version in (ckpt.CHECKPOINT_VERSION + 1, 5, 4, 3, 2):
             path = tmp_path / f"v{version}.ckpt"
             payload = {"version": version, "engine": "analytic",
                        "packets_done": 0, "config": {}, "state": {}}
@@ -325,7 +327,7 @@ class TestCheckpointValidation:
                 pickle.dump(payload, handle)
             with pytest.raises(
                 ckpt.CheckpointError,
-                match=f"format version {version}; this build reads version 5",
+                match=f"format version {version}; this build reads version 6",
             ):
                 ckpt.SimulationCheckpoint.load(path)
 
@@ -348,6 +350,16 @@ class TestCheckpointValidation:
             handle.write(ckpt.CHECKPOINT_MAGIC)
             pickle.dump(payload, handle)
         with pytest.raises(ckpt.CheckpointError, match="not one object per set"):
+            ckpt.SimulationCheckpoint.load(path)
+
+    def test_version_5_refusal_names_the_lfu_index(self, tmp_path):
+        path = tmp_path / "v5.ckpt"
+        payload = {"version": 5, "engine": "analytic", "packets_done": 0,
+                   "config": {}, "state": {}}
+        with open(path, "wb") as handle:
+            handle.write(ckpt.CHECKPOINT_MAGIC)
+            pickle.dump(payload, handle)
+        with pytest.raises(ckpt.CheckpointError, match="index of their count-0/1"):
             ckpt.SimulationCheckpoint.load(path)
 
     def test_engine_mismatch(self, tmp_path):
@@ -421,12 +433,32 @@ class TestSnapshotFormat:
             checkpoint_every=150, checkpoint_path=path,
         )
         header, state = read_parts(path)
-        assert header["version"] == 5 and header["inputs"]["packets"] is None
+        assert header["version"] == 6 and header["inputs"]["packets"] is None
         trace = header["inputs"]["recipe"].build()
         roots = _InputRefusingUnpickler(io.BytesIO(state), trace).load()
         assert sorted(roots) == ["loop", "router", "sim"]
         assert roots["sim"].trace is trace
         assert roots["router"]._packets is trace.packets
+
+    def test_restored_lfu_sets_keep_their_index(self, tmp_path):
+        """Every restored LFU set indexes exactly its count-0/1 keys, in
+        entry order, and counts its zeros."""
+        path = tmp_path / "lfu.ckpt"
+        simulate(hypertrio_config(), small_trace(), warmup_packets=100,
+                 checkpoint_every=150, checkpoint_path=path)
+        sim = ckpt.SimulationCheckpoint.load(path).state["sim"]
+        indexed = above_one = 0
+        for _, cache in sim.fabric.named_caches():
+            for entry_set in cache._sets:
+                if not isinstance(entry_set, LfuPolicy):
+                    continue
+                counts = entry_set._counts
+                low = [key for key in entry_set.entries if counts[key] <= 1]
+                assert list(entry_set._low) == low
+                assert entry_set._zeros == list(counts.values()).count(0)
+                indexed += len(low)
+                above_one += len(counts) - len(low)
+        assert indexed > 0 and above_one > 0
 
     def test_service_state_stream_holds_no_inputs(self, tmp_path):
         from repro.service.engine import ServiceEngine

@@ -1,7 +1,9 @@
 """Unit tests for the IOMMU translate path and context cache."""
 
 import dataclasses
+import inspect
 import random
+from collections import Counter
 
 import pytest
 
@@ -283,7 +285,48 @@ def set_contents(cache):
     return contents
 
 
+def record_set_calls(cache, calls):
+    """Wrap every method of each of ``cache``'s sets so that a call
+    appends ``(cache name, method name)`` to ``calls``."""
+    for entry_set in cache._sets:
+        for name, member in inspect.getmembers(type(entry_set)):
+            if inspect.isfunction(member) and not name.startswith("__"):
+                method = getattr(entry_set, name)
+
+                def record(*args, _method=method, _name=name, **kwargs):
+                    calls.append((cache.name, _name))
+                    return _method(*args, **kwargs)
+
+                setattr(entry_set, name, record)
+
+
 class TestChargeWalk:
+    def test_one_set_call_per_access(self, tenant):
+        """A cold walk at one-set LFU partitions calls its sets once per
+        walk-cache access, hit or fill, and never ``get``, ``put`` or
+        ``victim``: the index names each victim."""
+        iommu = Iommu(
+            iotlb=SetAssociativeCache(16, 4, name="iotlb"),
+            nested_tlb=PartitionedCache(
+                16, 4, num_partitions=4, policy="lfu", name="nested"
+            ),
+            pte_cache=PartitionedCache(
+                32, 8, num_partitions=4, policy="lfu", name="pte"
+            ),
+            walker_for_sid=None,
+            memory=MainMemory(latency_ns=50.0),
+        )
+        calls = []
+        for cache in (iommu.nested_tlb, iommu.pte_cache):
+            record_set_calls(cache, calls)
+        iommu.charge_walk(0, TwoDimensionalWalker(tenant).walk(0x3480_0000))
+        nested, pte = iommu.nested_tlb.stats, iommu.pte_cache.stats
+        assert nested.evictions > 0 and pte.hits > 0 and pte.evictions > 0
+        assert Counter(calls) == {
+            ("nested", "access"): nested.hits + nested.misses,
+            ("pte", "access"): pte.hits + pte.misses,
+        }
+
     @pytest.mark.parametrize("layout", sorted(WALK_CACHE_LAYOUTS))
     @pytest.mark.parametrize("policy", ["lru", "lfu", "fifo", "random", "oracle"])
     def test_matches_per_access_charge(self, policy, layout):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.partitioned import PartitionedCache, partition_of
+from repro.cache.policies import HIT, LfuPolicy, make_policy_factory
 from repro.cache.setassoc import (
     FullyAssociativeCache,
     SetAssociativeCache,
@@ -314,6 +315,142 @@ class TestCacheProperties:
         assert evicted == model.evicted
         assert dataclasses.asdict(cache.stats) == model.stats
         assert sorted(cache.keys()) == sorted(model.keys())
+
+
+# Operations on one set: (operation, key, priority, pinned).  Six keys for
+# sets of one to five ways, so that fills evict; a priority of 15 (or a
+# one-bit counter) saturates a counter, and the halving that follows is
+# what puts counters at 0.
+set_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["get"] * 5 + ["put"] * 5 + ["access"] * 5
+            + ["promote"] * 2 + ["remove"] * 2 + ["clear"]
+        ),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([0, 0, 1, 2, 15]),  # put priority, promote steps
+        st.sampled_from([False, False, False, True]),  # put pinned
+    ),
+    min_size=50,
+    max_size=300,
+)
+
+
+def int_next_use(key):
+    """A fixed future over integer keys: key 5 is never reused."""
+    return None if key == 5 else key % 3
+
+
+def apply_set_op(entry_set, operation, key, priority, pinned):
+    """Run one ``set_ops`` item other than ``access``; return its result."""
+    if operation == "get":
+        return entry_set.get(key)
+    if operation == "put":
+        return entry_set.put(key, -key - 1, priority, pinned)
+    if operation == "promote":
+        if key in entry_set.entries:
+            entry_set.promote(key, max(priority, 1))
+        return None
+    if operation == "remove":
+        return entry_set.remove(key)
+    entry_set.clear()
+    return None
+
+
+def scanned_victim(lfu):
+    """The LFU victim by a scan of the whole row: the oldest unpinned key
+    at the least count, or ``None`` when every key is pinned."""
+    unpinned = [key for key in lfu.entries if key not in lfu._pins]
+    if not unpinned:
+        return None
+    least = min(lfu.counter(key) for key in unpinned)
+    return next(key for key in unpinned if lfu.counter(key) == least)
+
+
+def set_state(entry_set):
+    """Every attribute a checkpoint saves of ``entry_set``, comparable."""
+    state = []
+    for name in type(entry_set)._state_fields:
+        value = getattr(entry_set, name)
+        if isinstance(value, random.Random):
+            value = value.getstate()
+        elif isinstance(value, dict):
+            value = list(value.items())
+        state.append(value)
+    return state
+
+
+class TestSetProperties:
+    @given(
+        set_ops,
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lfu_index_names_the_scanned_victim(
+        self, operations, ways, counter_bits
+    ):
+        """After every operation the index holds exactly the count-0/1
+        keys in entry order with the zeros counted, and both ``victim()``
+        and every fill's eviction pick what a scan of the row picks."""
+        lfu = LfuPolicy(ways, counter_bits)
+        for operation, key, priority, pinned in operations:
+            resident = key in lfu.entries
+            evicts = None
+            if not resident and len(lfu) >= ways:
+                evicts = scanned_victim(lfu)
+                if evicts is None:
+                    evicts = next(iter(lfu._pins))
+            if operation == "access":
+                result = lfu.access(key, -key - 1)
+                if resident:
+                    assert result is HIT
+                else:
+                    assert result == evicts
+            else:
+                result = apply_set_op(lfu, operation, key, priority, pinned)
+                if operation == "put":
+                    assert result == evicts
+            counts = lfu._counts
+            assert list(counts) == list(lfu.entries)
+            assert list(lfu._low) == [
+                key for key in lfu.entries if counts[key] <= 1
+            ]
+            assert lfu._zeros == list(counts.values()).count(0)
+            if lfu.entries:
+                assert lfu.victim() == scanned_victim(lfu)
+
+    @given(
+        set_ops,
+        st.sampled_from(["lru", "lfu", "fifo", "random", "oracle"]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_access_is_get_then_put_on_a_miss(
+        self, operations, policy, ways, counter_bits
+    ):
+        """``access`` returns what ``get`` and, on a miss, ``put`` return,
+        and leaves the same entries, counters, pins and generator state."""
+
+        def make():
+            if policy == "lfu":
+                return LfuPolicy(ways, counter_bits)
+            return make_policy_factory(policy, int_next_use)(ways)
+
+        accessed, composed = make(), make()
+        for operation, key, priority, pinned in operations:
+            if operation == "access":
+                result = accessed.access(key, -key - 1)
+                if composed.get(key) is not None:
+                    assert result is HIT
+                else:
+                    assert result == composed.put(key, -key - 1)
+            else:
+                assert apply_set_op(
+                    accessed, operation, key, priority, pinned
+                ) == apply_set_op(composed, operation, key, priority, pinned)
+            assert set_state(accessed) == set_state(composed)
 
 
 class TestPtbProperties:
