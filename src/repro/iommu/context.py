@@ -14,7 +14,7 @@ completeness and account its (rare) miss traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple
 
 from repro.cache.setassoc import SetAssociativeCache
 
@@ -66,6 +66,13 @@ class ContextEntry:
     root_table_hpa: int
 
 
+class ContextResolution(NamedTuple):
+    """Result of a context-cache access."""
+
+    entry: ContextEntry
+    hit: bool
+
+
 def _sid_indexer(key: int, num_sets: int) -> int:
     """SIDs are dense small integers, so plain modulo spreads them evenly.
 
@@ -97,16 +104,16 @@ class ContextCache:
         """Install the context entry for ``sid`` in the in-memory table."""
         self._table[sid] = entry
 
-    def resolve(self, sid: int) -> "ContextResolution":
+    def resolve(self, sid: int) -> ContextResolution:
         """Look up ``sid``; a miss reads the context table from memory."""
         cached = self._cache.lookup(sid)
         if cached is not None:
-            return ContextResolution(entry=cached, hit=True)
+            return ContextResolution(cached, True)
         entry = self._table.get(sid)
         if entry is None:
             raise KeyError(f"SID {sid:#x} has no registered context entry")
         self._cache.insert(sid, entry)
-        return ContextResolution(entry=entry, hit=False)
+        return ContextResolution(entry, False)
 
     @property
     def stats(self):
@@ -114,11 +121,3 @@ class ContextCache:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-
-@dataclass(frozen=True)
-class ContextResolution:
-    """Result of a context-cache access."""
-
-    entry: ContextEntry
-    hit: bool

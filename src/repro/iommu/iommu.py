@@ -25,7 +25,7 @@ traversal is charged by the device/simulator layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.cache.base import TranslationCache
 from repro.cache.partitioned import PartitionedCache
@@ -37,8 +37,7 @@ from repro.mem.dram import MainMemory
 from repro.mem.walker import TwoDimensionalWalk, TwoDimensionalWalker
 
 
-@dataclass(frozen=True)
-class TranslationOutcome:
+class TranslationOutcome(NamedTuple):
     """Result of one IOMMU translation.
 
     Attributes
@@ -138,15 +137,8 @@ class Iommu:
         cached = self.iotlb.lookup(iotlb_key)
         if cached is not None:
             hpa, page_shift = cached
-            return TranslationOutcome(
-                hpa=hpa,
-                page_shift=page_shift,
-                latency_ns=latency,
-                iotlb_hit=True,
-                memory_accesses=0,
-                nested_hits=0,
-                nested_misses=0,
-            )
+            # Built positionally: by keyword costs about twice as much.
+            return TranslationOutcome(hpa, page_shift, latency, True, 0, 0, 0)
 
         walk = self._walker_for_sid(sid).walk(giova)
         walk_latency, accesses, nested_hits, nested_misses = self.charge_walk(
@@ -156,13 +148,8 @@ class Iommu:
         self.walks_performed += 1
         self.iotlb.insert(iotlb_key, (walk.hpa, walk.page_shift))
         return TranslationOutcome(
-            hpa=walk.hpa,
-            page_shift=walk.page_shift,
-            latency_ns=latency,
-            iotlb_hit=False,
-            memory_accesses=accesses,
-            nested_hits=nested_hits,
-            nested_misses=nested_misses,
+            walk.hpa, walk.page_shift, latency, False,
+            accesses, nested_hits, nested_misses,
         )
 
     # ------------------------------------------------------------------
@@ -217,8 +204,8 @@ class Iommu:
                 nested_misses += 1
                 # Host walk of this guest-physical page: each host PTE read
                 # first tries the PTE cache.
-                for step in phase.host_steps:
-                    pte_key = (sid, step.entry_address)
+                for address in phase.host_steps:
+                    pte_key = (sid, address)
                     pte_set = (
                         pte_sid_set if pte_sid_set is not None
                         else pte.set_for(pte_key)

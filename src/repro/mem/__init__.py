@@ -19,12 +19,7 @@ from repro.mem.address import (
 )
 from repro.mem.allocator import FrameAllocator
 from repro.mem.dram import DramStats, MainMemory
-from repro.mem.pagetable import (
-    AddressSpace,
-    PageTable,
-    TranslationFault,
-    WalkStep,
-)
+from repro.mem.pagetable import AddressSpace, PageTable, TranslationFault
 from repro.mem.walker import NestedWalkPhase, TwoDimensionalWalk, TwoDimensionalWalker
 
 __all__ = [
@@ -43,7 +38,6 @@ __all__ = [
     "AddressSpace",
     "PageTable",
     "TranslationFault",
-    "WalkStep",
     "TwoDimensionalWalker",
     "TwoDimensionalWalk",
     "NestedWalkPhase",

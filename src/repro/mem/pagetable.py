@@ -9,23 +9,24 @@ This module models real 4-level radix trees.  Nodes are allocated physical
 frames from a :class:`~repro.mem.allocator.FrameAllocator`, so every
 page-table entry the walker reads has a concrete physical address — the unit
 the page-walk caches operate on.  A table stores the tree flat, as two dicts
-of ints: the frame of each node, and the frame and size of each mapped page.
-An entry is a leaf when its page is mapped at that level, a pointer when the
-node below it exists, and empty otherwise.  So a table holds no object per
-node or entry for the garbage collector to scan, and each leaf is stored
-once.
+of ints: the frame of each node, and the leaf of each mapped page, one int
+holding its frame and page shift.  An entry is a leaf when its page is
+mapped at that level, a pointer when the node below it exists, and empty
+otherwise.  So a table holds no object per node, entry or leaf for the
+garbage collector to scan, and each leaf is stored once.  A walk is the
+tuple of entry addresses it reads, root first.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.mem.address import (
     LEVEL_BITS,
     PAGE_SHIFT_2M,
     PAGE_SHIFT_4K,
+    PAGE_SIZE_4K,
     PAGE_TABLE_LEVELS,
     page_base,
 )
@@ -52,6 +53,11 @@ def _node_key(virtual: int, level: int) -> int:
 
 _ROOT_KEY = _node_key(0, PAGE_TABLE_LEVELS)
 
+#: A leaf is ``frame | page_shift``: frames are at least 4 KB aligned, so
+#: the shift fits in the bits below the frame address, as a hardware entry
+#: keeps its page-size bit beside the frame.
+_LEAF_SHIFT_MASK = PAGE_SIZE_4K - 1
+
 
 class TranslationFault(Exception):
     """Raised when a walk reaches an address with no mapping."""
@@ -63,22 +69,6 @@ class TranslationFault(Exception):
         self.address = address
         self.level = level
         self.space = space
-
-
-@dataclass(frozen=True)
-class WalkStep:
-    """One memory access performed during a one-dimensional walk.
-
-    Attributes
-    ----------
-    level:
-        Table level of the node being read (4 = root ... 1 = last).
-    entry_address:
-        Physical address of the page-table entry read by this step.
-    """
-
-    level: int
-    entry_address: int
 
 
 class PageTable:
@@ -93,8 +83,8 @@ class PageTable:
         self.name = name
         #: Node key (:func:`_node_key`) -> frame of every radix node.
         self._nodes: Dict[int, int] = {_ROOT_KEY: allocator.allocate_node()}
-        #: Virtual page base -> ``(frame, page_shift)`` of every leaf.
-        self._mappings: Dict[int, Tuple[int, int]] = {}
+        #: Virtual page base -> ``frame | page_shift`` of every leaf.
+        self._mappings: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -125,14 +115,14 @@ class PageTable:
                     )
                 break
             leaf = mappings.get(page_base(virtual_base, shift))
-            if leaf is not None and leaf[1] == shift:
+            if leaf is not None and leaf & _LEAF_SHIFT_MASK == shift:
                 raise ValueError(
                     f"{self.name}: {virtual_base:#x} overlaps an existing "
                     f"huge-page mapping at level {level}"
                 )
             if child not in nodes:
                 nodes[child] = self._allocator.allocate_node()
-        mappings[virtual_base] = (frame, page_shift)
+        mappings[virtual_base] = frame | page_shift
 
     def unmap_page(self, virtual: int, page_shift: int = PAGE_SHIFT_4K) -> None:
         """Remove the mapping for the page containing ``virtual``.
@@ -144,7 +134,7 @@ class PageTable:
         """
         virtual_base = page_base(virtual, page_shift)
         leaf = self._mappings.get(virtual_base)
-        if leaf is None or leaf[1] != page_shift:
+        if leaf is None or leaf & _LEAF_SHIFT_MASK != page_shift:
             leaf_level = 1 if page_shift == PAGE_SHIFT_4K else 2
             level = PAGE_TABLE_LEVELS
             while level > leaf_level and _node_key(virtual_base, level - 1) in self._nodes:
@@ -160,20 +150,23 @@ class PageTable:
         frame, page_shift, _ = self.walk(virtual)
         return frame + (virtual & ((1 << page_shift) - 1))
 
-    def walk(self, virtual: int) -> Tuple[int, int, Tuple[WalkStep, ...]]:
+    def walk(self, virtual: int) -> Tuple[int, int, Tuple[int, ...]]:
         """Translate ``virtual`` and return the memory accesses performed.
 
-        Returns ``(frame, page_shift, steps)`` where ``steps`` lists one
-        :class:`WalkStep` per page-table entry read, root first.
+        Returns ``(frame, page_shift, steps)`` where ``steps`` holds the
+        physical address of each page-table entry read, root first: step
+        ``i`` reads level ``4 - i``.
         """
         result = self.walk_entries(virtual)
         if result[0] is None:
-            raise TranslationFault(virtual, result[2][-1].level, self.name)
+            raise TranslationFault(
+                virtual, PAGE_TABLE_LEVELS + 1 - len(result[2]), self.name
+            )
         return result
 
     def walk_entries(
         self, virtual: int
-    ) -> Tuple[Optional[int], Optional[int], Tuple[WalkStep, ...]]:
+    ) -> Tuple[Optional[int], Optional[int], Tuple[int, ...]]:
         """:meth:`walk` without the fault.
 
         When the walk reads an empty entry, ``frame`` and ``page_shift``
@@ -186,10 +179,10 @@ class PageTable:
         for level, shift in _LEVEL_SHIFTS:
             prefix = virtual >> shift
             # 512 entries of 8 bytes per node.
-            steps.append(WalkStep(level, node + (prefix & 511) * 8))
+            steps.append(node + (prefix & 511) * 8)
             leaf = mappings.get(prefix << shift)
-            if leaf is not None and leaf[1] == shift:
-                return leaf[0], shift, tuple(steps)
+            if leaf is not None and leaf & _LEAF_SHIFT_MASK == shift:
+                return leaf - shift, shift, tuple(steps)
             node = nodes.get(prefix << 3 | (level - 1))  # _node_key(virtual, level - 1)
             if node is None:
                 break
@@ -200,19 +193,23 @@ class PageTable:
     ) -> "PageTable":
         """Return an independent copy with every frame ``offset`` bytes higher.
 
-        Node frames and leaf frames move by ``offset``; virtual addresses
-        and insertion order stay.  The copy shares no mutable object with
-        this table and allocates new nodes from ``allocator``; with
-        ``offset == 0`` it shares this table's ints and leaf tuples.
+        Node frames and leaf frames move by ``offset``, which must be a
+        multiple of 4 KB; virtual addresses and insertion order stay.  The
+        copy shares no mutable object with this table and allocates new
+        nodes from ``allocator``; with ``offset == 0`` it shares this
+        table's ints.
         """
+        if offset % PAGE_SIZE_4K:
+            raise ValueError(
+                f"{self.name}: frame offset {offset:#x} is not a multiple of 4 KB"
+            )
         table = PageTable.__new__(PageTable)
         table._allocator = allocator
         table.name = name
         if offset:
             table._nodes = {key: frame + offset for key, frame in self._nodes.items()}
             table._mappings = {
-                virtual: (frame + offset, page_shift)
-                for virtual, (frame, page_shift) in self._mappings.items()
+                virtual: leaf + offset for virtual, leaf in self._mappings.items()
             }
         else:
             table._nodes = dict(self._nodes)
@@ -224,8 +221,9 @@ class PageTable:
     # ------------------------------------------------------------------
     def mappings(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(virtual_page_base, frame, page_shift)`` for every mapping."""
-        for virtual_base, (frame, page_shift) in sorted(self._mappings.items()):
-            yield virtual_base, frame, page_shift
+        for virtual_base, leaf in sorted(self._mappings.items()):
+            page_shift = leaf & _LEAF_SHIFT_MASK
+            yield virtual_base, leaf - page_shift, page_shift
 
     @property
     def mapped_page_count(self) -> int:
@@ -321,15 +319,15 @@ class AddressSpace:
 
     def ensure_backed(self, gpa: int) -> int:
         """Ensure ``gpa`` is mapped in the host table; return its hPA."""
-        try:
-            return self.host_table.translate(gpa)
-        except TranslationFault:
-            host_frame = self.host_table._allocator.allocate(1)
-            self.host_table.map_page(gpa, host_frame)
-            if self._backing_log is not None:
-                log, key = self._backing_log
-                log.append((key, gpa))
-            return host_frame + (gpa & 0xFFF)
+        frame, page_shift, _ = self.host_table.walk_entries(gpa)
+        if frame is not None:
+            return frame + (gpa & ((1 << page_shift) - 1))
+        host_frame = self.host_table._allocator.allocate(1)
+        self.host_table.map_page(gpa, host_frame)
+        if self._backing_log is not None:
+            log, key = self._backing_log
+            log.append((key, gpa))
+        return host_frame + (gpa & 0xFFF)
 
     def translate(self, giova: int) -> int:
         """Functionally translate gIOVA -> hPA through both tables.

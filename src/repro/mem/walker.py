@@ -11,16 +11,17 @@ guest walk terminates one level earlier).
 The walker is purely functional: it returns the complete structure of the
 walk (which accesses would be performed, and which of them can be skipped by
 a nested-TLB hit).  The IOMMU timing model decides which accesses actually
-reach DRAM.
+reach DRAM.  A walk is made of named tuples of ints, so the memo of a walked
+page holds no object the garbage collector keeps scanning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from repro.mem.address import page_base
-from repro.mem.pagetable import AddressSpace, TranslationFault, WalkStep
+from repro.mem.address import PAGE_TABLE_LEVELS, page_base
+from repro.mem.pagetable import AddressSpace, TranslationFault
 
 
 @dataclass
@@ -43,8 +44,7 @@ class WalkerStats:
         return self.memo_hits / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class NestedWalkPhase:
+class NestedWalkPhase(NamedTuple):
     """One guest level of a two-dimensional walk.
 
     Attributes
@@ -57,7 +57,8 @@ class NestedWalkPhase:
         (page base of the guest node, or of the data page for the final
         phase).  A hit in a nested TLB for this page skips ``host_steps``.
     host_steps:
-        The host page-table entries read to translate ``gpa_page``.
+        Host-physical addresses of the host page-table entries read to
+        translate ``gpa_page``, root first.
     guest_entry_hpa:
         Host-physical address of the guest page-table entry read after the
         host walk, or ``None`` for the final phase (the data access itself
@@ -66,7 +67,7 @@ class NestedWalkPhase:
 
     guest_level: int
     gpa_page: int
-    host_steps: Tuple[WalkStep, ...]
+    host_steps: Tuple[int, ...]
     guest_entry_hpa: Optional[int]
 
     @property
@@ -76,8 +77,7 @@ class NestedWalkPhase:
         return len(self.host_steps) + extra
 
 
-@dataclass(frozen=True)
-class TwoDimensionalWalk:
+class TwoDimensionalWalk(NamedTuple):
     """Complete result of translating one gIOVA.
 
     ``phases`` holds one :class:`NestedWalkPhase` per guest level plus the
@@ -139,50 +139,41 @@ class TwoDimensionalWalker:
         guest_frame, guest_page_shift, guest_steps = guest_table.walk_entries(giova)
         # Each guest entry read needs a host walk of its guest-physical
         # address first, which may back the node's page; a missing guest
-        # entry faults only after that.
+        # entry faults only after that.  Guest step i reads level 4 - i.
         phases = []
-        for step in guest_steps:
-            entry_gpa = step.entry_address
+        level = PAGE_TABLE_LEVELS
+        for entry_gpa in guest_steps:
             gpa_page = page_base(entry_gpa)
-            host_frame, _, host_steps = self._host_walk(entry_gpa)
+            host_frame, host_steps = self._host_walk(entry_gpa)
             phases.append(
                 NestedWalkPhase(
-                    guest_level=step.level,
-                    gpa_page=gpa_page,
-                    host_steps=host_steps,
-                    guest_entry_hpa=host_frame + (entry_gpa - gpa_page),
+                    level, gpa_page, host_steps, host_frame + (entry_gpa - gpa_page)
                 )
             )
+            level -= 1
         if guest_frame is None:
-            raise TranslationFault(giova, guest_steps[-1].level, guest_table.name)
+            raise TranslationFault(giova, level + 1, guest_table.name)
 
         # Final host walk: translate the data page's guest-physical address.
         data_gpa = guest_frame + (giova & ((1 << guest_page_shift) - 1))
         data_gpa_page = page_base(data_gpa)
-        host_frame, _, host_steps = self._host_walk(data_gpa)
-        phases.append(
-            NestedWalkPhase(
-                guest_level=0,
-                gpa_page=data_gpa_page,
-                host_steps=host_steps,
-                guest_entry_hpa=None,
-            )
-        )
+        host_frame, host_steps = self._host_walk(data_gpa)
+        phases.append(NestedWalkPhase(0, data_gpa_page, host_steps, None))
         hpa = host_frame + (data_gpa - data_gpa_page)
         return TwoDimensionalWalk(
-            giova=giova,
-            hpa=page_base(hpa),
-            page_shift=guest_page_shift,
-            phases=tuple(phases),
+            giova, page_base(hpa), guest_page_shift, tuple(phases)
         )
 
     def _host_walk(self, gpa: int):
-        """Host-walk ``gpa``; lazily back page-table node frames."""
-        try:
-            return self._space.host_table.walk(gpa)
-        except TranslationFault:
-            # Guest page-table node frames are allocated from guest-physical
-            # space and backed by the host on first touch, exactly as a
-            # hypervisor populates EPT mappings on demand.
+        """Host-walk ``gpa`` to ``(frame, steps)``; back its page on first touch.
+
+        Guest page-table node frames are allocated from guest-physical
+        space and backed by the host on first touch, exactly as a
+        hypervisor populates EPT mappings on demand.
+        """
+        host_table = self._space.host_table
+        frame, _, steps = host_table.walk_entries(gpa)
+        if frame is None:
             self._space.ensure_backed(gpa)
-            return self._space.host_table.walk(gpa)
+            frame, _, steps = host_table.walk_entries(gpa)
+        return frame, steps

@@ -7,7 +7,9 @@ For each :class:`~repro.trace.tenant.TenantSpec` this module builds:
   tenants, because identical guest OS + driver versions allocate identical
   gIOVAs; this is the root cause of un-partitioned TLB thrashing).
   :class:`HyperTenantSystem` maps the first tenant of each page layout page
-  by page and copies it, moved by a host-frame offset, for the rest;
+  by page and copies it, moved by a host-frame offset, for the rest, and
+  gives every tenant of a profile the same immutable ring layout and init
+  requests;
 * the packet stream: a :class:`~repro.device.ring.DescriptorRing` cycles
   2 MB data pages with the observed periodic reuse, optionally disturbed by
   random jumps for the less regular benchmarks.
@@ -18,8 +20,8 @@ All randomness is seeded per tenant, so traces are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.device.ring import DescriptorRing, RingLayout, make_default_layout
 from repro.mem.address import PAGE_SHIFT_2M, PAGE_SHIFT_4K
@@ -27,7 +29,7 @@ from repro.mem.allocator import FrameAllocator
 from repro.mem.pagetable import AddressSpace
 from repro.mem.walker import TwoDimensionalWalker
 from repro.trace.records import PacketRecord
-from repro.trace.tenant import TenantSpec
+from repro.trace.tenant import BenchmarkProfile, TenantSpec
 
 #: gIOVA base of the group-3 (initialisation) pages observed in the paper
 #: (the 0xf0000000..0xffffffff window).
@@ -40,6 +42,15 @@ GUEST_PHYSICAL_BASE = 0x4000_0000
 HOST_PHYSICAL_BASE = 0x10_0000_0000
 
 
+class ProfileLayout(NamedTuple):
+    """What every tenant of one profile shares."""
+
+    ring_layout: RingLayout
+    #: ``(gIOVA, page shift)`` of every mapped page, in mapping order.
+    mappings: Tuple[Tuple[int, int], ...]
+    init_requests: Tuple[int, ...]
+
+
 @dataclass
 class TenantWorkload:
     """A tenant's address space plus its generated packet stream."""
@@ -47,7 +58,7 @@ class TenantWorkload:
     spec: TenantSpec
     space: AddressSpace
     walker: TwoDimensionalWalker
-    init_requests: List[int] = field(default_factory=list)
+    init_requests: Tuple[int, ...] = ()
     _ring: DescriptorRing = None  # set in build_tenant_workload
     _rng: random.Random = None
 
@@ -122,6 +133,8 @@ class HyperTenantSystem:
         self._templates: Dict[
             Tuple[Tuple[int, int], ...], Tuple[AddressSpace, int, int]
         ] = {}
+        #: Profile -> the layout all its tenants share.
+        self._layouts: Dict[BenchmarkProfile, ProfileLayout] = {}
 
     def add_tenant(self, spec: TenantSpec) -> TenantWorkload:
         """Build and register the workload for ``spec``.
@@ -132,12 +145,15 @@ class HyperTenantSystem:
         """
         if spec.sid in self.workloads:
             raise ValueError(f"tenant SID {spec.sid} already registered")
-        layout, mappings = _page_layout(spec.profile)
+        shared = self._layouts.get(spec.profile)
+        if shared is None:
+            shared = self._layouts[spec.profile] = _profile_layout(spec.profile)
+        mappings = shared.mappings
         host = self.host_allocator
         cursor = host.frames_allocated
         template = self._templates.get(mappings)
         if template is None:
-            workload = build_tenant_workload(spec, host)
+            workload = _mapped_workload(spec, shared, host)
             space = workload.space
             frames = host.frames_allocated - cursor
             self._templates[mappings] = (
@@ -149,7 +165,7 @@ class HyperTenantSystem:
                 host, f"sid{spec.sid}", (cursor - first_cursor) << PAGE_SHIFT_4K
             )
             host.allocate(frames)
-            workload = _tenant_workload(spec, layout, space)
+            workload = _tenant_workload(spec, shared, space)
         self.workloads[spec.sid] = workload
         return workload
 
@@ -182,8 +198,8 @@ class HyperTenantSystem:
         return tuple(sorted(self.workloads))
 
 
-def _page_layout(profile) -> Tuple[RingLayout, Tuple[Tuple[int, int], ...]]:
-    """A tenant's ring layout and its ``(gIOVA, page shift)`` mappings, in order."""
+def _profile_layout(profile: BenchmarkProfile) -> ProfileLayout:
+    """The ring layout, mappings and init requests of ``profile``'s tenants."""
     layout = make_default_layout(profile.num_data_pages)
     data_page_shift = PAGE_SHIFT_2M if profile.huge_data_pages else PAGE_SHIFT_4K
     mappings = [
@@ -191,30 +207,25 @@ def _page_layout(profile) -> Tuple[RingLayout, Tuple[Tuple[int, int], ...]]:
         (layout.mailbox_page_giova, PAGE_SHIFT_4K),
     ]
     mappings += [(data_page, data_page_shift) for data_page in layout.data_page_giovas]
-    mappings += [
-        (INIT_WINDOW_BASE + index * 4096, PAGE_SHIFT_4K)
-        for index in range(profile.init_pages)
-    ]
-    return layout, tuple(mappings)
+    init_pages = [INIT_WINDOW_BASE + index * 4096 for index in range(profile.init_pages)]
+    mappings += [(giova, PAGE_SHIFT_4K) for giova in init_pages]
+    init_requests = tuple(
+        giova for giova in init_pages for _ in range(profile.init_accesses_per_page)
+    )
+    return ProfileLayout(layout, tuple(mappings), init_requests)
 
 
 def _tenant_workload(
-    spec: TenantSpec, layout: RingLayout, space: AddressSpace
+    spec: TenantSpec, shared: ProfileLayout, space: AddressSpace
 ) -> TenantWorkload:
     """Wrap a tenant's mapped ``space`` with its ring and packet generator."""
-    profile = spec.profile
-    init_requests: List[int] = []
-    for index in range(profile.init_pages):
-        init_requests.extend(
-            [INIT_WINDOW_BASE + index * 4096] * profile.init_accesses_per_page
-        )
     workload = TenantWorkload(
         spec=spec,
         space=space,
         walker=TwoDimensionalWalker(space),
-        init_requests=init_requests,
+        init_requests=shared.init_requests,
     )
-    workload._ring = DescriptorRing(layout, uses_per_page=profile.uses_per_page)
+    workload._ring = DescriptorRing(shared.ring_layout, uses_per_page=spec.profile.uses_per_page)
     workload._rng = random.Random(spec.seed)
     return workload
 
@@ -230,12 +241,18 @@ def build_tenant_workload(
     every page one by one; :meth:`HyperTenantSystem.add_tenant` gives the
     same result by copying the first tenant of each layout.
     """
-    layout, mappings = _page_layout(spec.profile)
+    return _mapped_workload(spec, _profile_layout(spec.profile), host_allocator)
+
+
+def _mapped_workload(
+    spec: TenantSpec, shared: ProfileLayout, host_allocator: FrameAllocator
+) -> TenantWorkload:
+    """Map ``spec``'s tenant page by page, drawing host frames from ``host_allocator``."""
     guest_allocator = FrameAllocator(base=GUEST_PHYSICAL_BASE)
     space = AddressSpace(guest_allocator, host_allocator, name=f"sid{spec.sid}")
-    for giova, page_shift in mappings:
+    for giova, page_shift in shared.mappings:
         space.map_io_page(giova, page_shift)
-    return _tenant_workload(spec, layout, space)
+    return _tenant_workload(spec, shared, space)
 
 
 def build_system(specs) -> Tuple[HyperTenantSystem, List[TenantWorkload]]:

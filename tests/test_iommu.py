@@ -14,7 +14,7 @@ from repro.iommu.iommu import Iommu, IommuTimings
 from repro.mem.address import PAGE_SHIFT_2M
 from repro.mem.allocator import FrameAllocator
 from repro.mem.dram import MainMemory
-from repro.mem.pagetable import AddressSpace, TranslationFault, WalkStep
+from repro.mem.pagetable import AddressSpace, TranslationFault
 from repro.mem.walker import NestedWalkPhase, TwoDimensionalWalk, TwoDimensionalWalker
 
 
@@ -194,8 +194,8 @@ def charge_per_access(iommu, sid, walk):
             latency += hit_ns
         else:
             nested_misses += 1
-            for step in phase.host_steps:
-                pte_key = (sid, step.entry_address)
+            for address in phase.host_steps:
+                pte_key = (sid, address)
                 if pte.lookup(pte_key) is not None:
                     latency += hit_ns
                 else:
@@ -241,10 +241,7 @@ def random_walk(rng):
     evict."""
     phases = []
     for level in range(rng.randint(2, 5), -1, -1):
-        steps = tuple(
-            WalkStep(4 - index, rng.randrange(48) * 8)
-            for index in range(rng.randint(1, 4))
-        )
+        steps = tuple(rng.randrange(48) * 8 for _ in range(rng.randint(1, 4)))
         phases.append(NestedWalkPhase(
             guest_level=level,
             gpa_page=rng.randrange(24) << 12,

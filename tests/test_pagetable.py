@@ -143,19 +143,18 @@ class TestWalkStructure:
         frame, shift, steps = table.walk(0x3480_0000)
         assert frame == 0x9000_0000
         assert shift == PAGE_SHIFT_4K
-        assert [step.level for step in steps] == [4, 3, 2, 1]
+        assert len(steps) == 4
 
     def test_walk_of_2m_page_reads_three_levels(self, table):
         table.map_page(0xBBE0_0000, 0x4000_0000, PAGE_SHIFT_2M)
         _, shift, steps = table.walk(0xBBE0_0000)
         assert shift == PAGE_SHIFT_2M
-        assert [step.level for step in steps] == [4, 3, 2]
+        assert len(steps) == 3
 
     def test_walk_steps_have_distinct_entry_addresses(self, table):
         table.map_page(0x3480_0000, 0x9000_0000)
         _, _, steps = table.walk(0x3480_0000)
-        addresses = [step.entry_address for step in steps]
-        assert len(set(addresses)) == len(addresses)
+        assert len(set(steps)) == len(steps)
 
     def test_same_region_shares_upper_nodes(self, table):
         table.map_page(0x1000, 0x9000_0000)
@@ -163,10 +162,8 @@ class TestWalkStructure:
         _, _, first = table.walk(0x1000)
         _, _, second = table.walk(0x2000)
         # Levels 4..2 come from the same nodes; only the L1 entry differs.
-        assert [s.entry_address for s in first[:3]] == [
-            s.entry_address for s in second[:3]
-        ]
-        assert first[3].entry_address != second[3].entry_address
+        assert first[:3] == second[:3]
+        assert first[3] != second[3]
 
 
 class TestNodeFrames:
@@ -185,12 +182,12 @@ class TestNodeFrames:
         ]
         _, _, steps = table.walk(0x3480_0000)
         # Indices 0, 0, 0x1A4 and 0 at levels 4..1.
-        assert [step.entry_address for step in steps] == [
+        assert steps == (
             0x1_0000_0000,
             0x1_0000_1000,
             0x1_0000_2D20,
             0x1_0000_3000,
-        ]
+        )
 
     def test_2m_map_allocates_two_nodes_below_the_root(self):
         allocator = _RecordingAllocator()
@@ -199,11 +196,44 @@ class TestNodeFrames:
         assert allocator.nodes == [0x1_0000_0000, 0x1_0000_1000, 0x1_0000_2000]
         _, _, steps = table.walk(0xBBE0_0000)
         # Indices 0, 2 and 0x1DF at levels 4..2.
-        assert [step.entry_address for step in steps] == [
-            0x1_0000_0000,
-            0x1_0000_1010,
-            0x1_0000_2EF8,
+        assert steps == (0x1_0000_0000, 0x1_0000_1010, 0x1_0000_2EF8)
+
+
+class TestLeafEncoding:
+    """A leaf is one int, ``frame | page_shift``."""
+
+    @pytest.fixture
+    def mapped(self, table):
+        table.map_page(0x3480_0000, 0x9000_3000)
+        table.map_page(0xBBE0_0000, 0x4020_0000, PAGE_SHIFT_2M)
+        return table
+
+    def test_mappings_round_trip_both_page_sizes(self, mapped):
+        assert list(mapped.mappings()) == [
+            (0x3480_0000, 0x9000_3000, PAGE_SHIFT_4K),
+            (0xBBE0_0000, 0x4020_0000, PAGE_SHIFT_2M),
         ]
+
+    def test_walk_decodes_frame_and_shift(self, mapped):
+        assert mapped.walk(0x3480_0ABC)[:2] == (0x9000_3000, PAGE_SHIFT_4K)
+        assert mapped.walk(0xBBE1_2345)[:2] == (0x4020_0000, PAGE_SHIFT_2M)
+
+    def test_shifted_copy_refuses_an_offset_inside_a_page(self, mapped):
+        nodes, leaves = dict(mapped._nodes), dict(mapped._mappings)
+        with pytest.raises(ValueError, match="multiple of 4 KB"):
+            mapped.shifted_copy(mapped._allocator, "copy", 0x800)
+        assert (mapped._nodes, mapped._mappings) == (nodes, leaves)
+        assert mapped.translate(0x3480_0ABC) == 0x9000_3ABC
+
+    def test_shifted_copy_moves_every_frame(self, mapped):
+        copy = mapped.shifted_copy(mapped._allocator, "copy", 0x40_0000)
+        assert list(copy.mappings()) == [
+            (0x3480_0000, 0x9040_3000, PAGE_SHIFT_4K),
+            (0xBBE0_0000, 0x4060_0000, PAGE_SHIFT_2M),
+        ]
+        assert copy.walk(0x3480_0000)[2] == tuple(
+            step + 0x40_0000 for step in mapped.walk(0x3480_0000)[2]
+        )
 
 
 class TestIntrospection:

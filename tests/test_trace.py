@@ -1,6 +1,7 @@
 """Unit tests for trace records, tenant specs, and workload generation."""
 
 import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -307,3 +308,35 @@ class TestDerivedTenants:
         before = tracked_after_adding(specs[:32])
         after = tracked_after_adding(specs[32:])
         assert (after - before) / 64 <= 48
+
+    def test_derived_tenants_take_few_bytes(self):
+        """A derived tenant's leaves are ints and it shares its profile's
+        layout, so it costs its two tables' dicts and little more."""
+        specs = make_tenant_specs(MEDIASTREAM, 96, 10)
+        system = HyperTenantSystem()
+        for spec in specs[:32]:
+            system.add_tenant(spec)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for spec in specs[32:]:
+                system.add_tenant(spec)
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / 64 <= 24 * 1024
+
+    def test_tenants_of_a_profile_share_one_layout(self):
+        system = HyperTenantSystem()
+        by_profile = {}
+        for spec in _mixed_specs():
+            workload = system.add_tenant(spec)
+            layout, init_requests = by_profile.setdefault(
+                spec.profile, (workload._ring.layout, workload.init_requests)
+            )
+            assert workload._ring.layout is layout
+            assert workload.init_requests is init_requests
+            assert isinstance(init_requests, tuple)
+        assert len(by_profile) == 5

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.config import hypertrio_config
 from repro.mem.address import PAGE_SHIFT_2M, PAGE_SHIFT_4K
 from repro.mem.pagetable import TranslationFault
 from repro.mem.walker import TwoDimensionalWalker
+from repro.sim.simulator import HyperSimulator
+from repro.trace.constructor import construct_trace
+from repro.trace.tenant import MEDIASTREAM
 
 
 @pytest.fixture
@@ -83,6 +87,28 @@ class TestLazyBacking:
         assert excinfo.value.level == 4
         # The gL4 entry read: guest root 0x4000_0000, index 0xFE.
         assert log == [("sid", 0x4000_07F0)]
+
+
+class TestBackingWithoutFaults:
+    def test_backing_on_demand_builds_no_fault(self, monkeypatch):
+        """Backing checks for the missing leaf instead of raising and
+        catching a fault: building a system and running it build none."""
+        faults = []
+        init = TranslationFault.__init__
+
+        def counting_init(fault, *args):
+            faults.append(args)
+            init(fault, *args)
+
+        monkeypatch.setattr(TranslationFault, "__init__", counting_init)
+        trace = construct_trace(
+            MEDIASTREAM, num_tenants=32, packets_per_tenant=200_000,
+            max_packets=2_000,
+        )
+        built = len(faults)
+        HyperSimulator(hypertrio_config(), trace).run()
+        assert trace.system.backing_log  # the run backed pages on demand
+        assert (built, len(faults) - built) == (0, 0)
 
 
 class TestMemoization:
