@@ -15,7 +15,9 @@ be equal.  The model is deterministic, so the count is too: a single
 call added per request under an empty bundle fails the guard, where a
 wall-clock budget on a shared host cannot tell a 3% slowdown from noise.
 A metrics-only bundle must count more calls than no bundle, which shows
-that the count sees the hot path at all.
+that the count sees the hot path at all.  It counts both designs: Base
+runs unpartitioned caches, and only HyperTRIO runs partitioned ones, the
+Prefetch Buffer and the prefetch path.
 
 Runs standalone (CI calls it directly) or under pytest::
 
@@ -27,7 +29,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.core.config import base_config
+import pytest
+
+from repro.core.config import base_config, hypertrio_config
 from repro.obs import Observability
 from repro.sim.simulator import HyperSimulator
 from repro.trace.constructor import construct_trace
@@ -35,11 +39,12 @@ from repro.trace.tenant import MEDIASTREAM
 
 TENANTS = 32
 PACKETS = 2_000
+CONFIGS = {"Base": base_config, "HyperTRIO": hypertrio_config}
 
 
-def count_calls(trace, observability) -> int:
-    """Python and C calls made by one ``run()`` over ``trace``."""
-    simulator = HyperSimulator(base_config(), trace, observability=observability)
+def count_calls(config, trace, observability) -> int:
+    """Python and C calls made by one ``run()`` of ``config`` over ``trace``."""
+    simulator = HyperSimulator(config, trace, observability=observability)
     calls = 0
 
     def profile(frame, event, arg):
@@ -55,24 +60,27 @@ def count_calls(trace, observability) -> int:
     return calls
 
 
-def measure_calls() -> dict:
-    """Call counts with no bundle, an empty bundle and a metrics bundle."""
+def measure_calls(name: str) -> dict:
+    """Call counts of the ``name`` design with no bundle, an empty bundle
+    and a metrics bundle."""
+    config = CONFIGS[name]()
     trace = construct_trace(
         MEDIASTREAM, num_tenants=TENANTS, packets_per_tenant=200_000,
         max_packets=PACKETS,
     )
     # The first run over a trace backs its page tables lazily; a warm-up
     # run lets every counted run start from the same state.
-    HyperSimulator(base_config(), trace).run()
+    HyperSimulator(config, trace).run()
     return {
-        "baseline": count_calls(trace, None),
-        "empty": count_calls(trace, Observability()),
-        "metrics": count_calls(trace, Observability.metrics_only()),
+        "baseline": count_calls(config, trace, None),
+        "empty": count_calls(config, trace, Observability()),
+        "metrics": count_calls(config, trace, Observability.metrics_only()),
     }
 
 
-def test_disabled_observability_adds_no_calls():
-    counts = measure_calls()
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_disabled_observability_adds_no_calls(name):
+    counts = measure_calls(name)
     assert counts["metrics"] > counts["baseline"], counts
     assert counts["empty"] == counts["baseline"], (
         f"an empty Observability() makes "
@@ -82,20 +90,23 @@ def test_disabled_observability_adds_no_calls():
 
 
 def main() -> int:
-    counts = measure_calls()
-    print(
-        f"calls: no bundle {counts['baseline']:,}  "
-        f"Observability() {counts['empty']:,}  "
-        f"metrics_only() {counts['metrics']:,}"
-    )
-    if counts["metrics"] <= counts["baseline"]:
-        print("FAIL: a metrics bundle adds no calls; the count misses the hot path")
-        return 1
-    if counts["empty"] != counts["baseline"]:
-        print("FAIL: the empty bundle adds calls on the hot path")
-        return 1
-    print("OK")
-    return 0
+    failed = False
+    for name in sorted(CONFIGS):
+        counts = measure_calls(name)
+        print(
+            f"{name} calls: no bundle {counts['baseline']:,}  "
+            f"Observability() {counts['empty']:,}  "
+            f"metrics_only() {counts['metrics']:,}"
+        )
+        if counts["metrics"] <= counts["baseline"]:
+            print(f"FAIL: a metrics bundle adds no calls to {name}; the count "
+                  f"misses the hot path")
+            failed = True
+        if counts["empty"] != counts["baseline"]:
+            print(f"FAIL: the empty bundle adds calls to {name}'s hot path")
+            failed = True
+    print("FAIL" if failed else "OK")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

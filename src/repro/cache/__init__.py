@@ -1,16 +1,13 @@
-"""Translation-cache structures: policies, set-associative and partitioned.
+"""Translation caches: one set-associative, SID-partitioned cache class.
 
 Public surface:
 
-* :class:`~repro.cache.base.TranslationCache` / :class:`~repro.cache.base.CacheStats`
 * :class:`~repro.cache.setassoc.SetAssociativeCache` and
-  :class:`~repro.cache.setassoc.FullyAssociativeCache`
-* :class:`~repro.cache.partitioned.PartitionedCache`
+  :class:`~repro.cache.base.CacheStats`
 * replacement policies in :mod:`repro.cache.policies`
 """
 
-from repro.cache.base import CacheStats, TranslationCache
-from repro.cache.partitioned import PartitionedCache, partition_of
+from repro.cache.base import CacheStats
 from repro.cache.policies import (
     FifoPolicy,
     LfuPolicy,
@@ -20,15 +17,11 @@ from repro.cache.policies import (
     ReplacementPolicy,
     make_policy_factory,
 )
-from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
+from repro.cache.setassoc import SetAssociativeCache
 
 __all__ = [
     "CacheStats",
-    "TranslationCache",
     "SetAssociativeCache",
-    "FullyAssociativeCache",
-    "PartitionedCache",
-    "partition_of",
     "ReplacementPolicy",
     "LruPolicy",
     "LfuPolicy",

@@ -1,15 +1,14 @@
-"""Shared cache interfaces and statistics.
+"""Cache statistics.
 
 Every translation structure in the model — DevTLB, IOTLB, nested/page-walk
-TLBs, prefetch buffer, context cache — implements :class:`TranslationCache`,
-so the simulator and the experiment sweeps can treat them uniformly.
+TLBs, prefetch buffer, context cache — is a
+:class:`~repro.cache.setassoc.SetAssociativeCache` counting its accesses in
+one :class:`CacheStats`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Hashable, Optional
 
 
 @dataclass
@@ -54,64 +53,3 @@ class CacheStats:
             evictions=self.evictions + other.evictions,
             invalidations=self.invalidations + other.invalidations,
         )
-
-
-class TranslationCache(ABC):
-    """Abstract key/value cache with hit/miss accounting.
-
-    Keys are opaque hashables chosen by the owner (for example
-    ``(sid, giova_page)`` for a DevTLB).  ``lookup`` returns the stored value
-    or ``None``, updating statistics and recency state; ``probe`` inspects
-    without side effects.
-    """
-
-    #: Instance attributes a checkpoint pickles (see
-    #: :func:`repro.sim.checkpoint.state_fields`); subclasses extend it.
-    _state_fields = ("name", "stats", "eviction_listener")
-
-    def __init__(self, name: str = "cache"):
-        self.name = name
-        self.stats = CacheStats()
-        #: Optional observability hook ``callable(inserted_key, victim_key)``
-        #: invoked on every capacity eviction (not on invalidations).  Left
-        #: ``None`` unless an observer attaches one, so the only cost on the
-        #: eviction path is a single ``is not None`` check — see
-        #: :meth:`repro.obs.metrics.EvictionAttribution.listener_for`.
-        self.eviction_listener = None
-
-    @abstractmethod
-    def lookup(self, key: Hashable) -> Optional[Any]:
-        """Return the cached value for ``key`` or ``None``; updates stats."""
-
-    @abstractmethod
-    def insert(
-        self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
-    ) -> None:
-        """Insert or update ``key``; may evict another entry.
-
-        ``priority`` > 0 marks a prefetch fill whose entry should enter
-        with elevated replacement priority (see
-        :meth:`repro.cache.policies.ReplacementPolicy.promote`).
-        ``pinned`` marks a prefetch fill that victim selection must skip
-        until its first hit (the DevTLB install of a completed prefetch).
-        """
-
-    @abstractmethod
-    def probe(self, key: Hashable) -> Optional[Any]:
-        """Return the cached value without touching stats or recency."""
-
-    @abstractmethod
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key`` if present; return whether it was present."""
-
-    @abstractmethod
-    def invalidate_all(self) -> None:
-        """Drop every entry (e.g. on an IOTLB flush)."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of valid entries currently stored."""
-
-    def contains(self, key: Hashable) -> bool:
-        """Return whether ``key`` is cached (no stats side effects)."""
-        return self.probe(key) is not None

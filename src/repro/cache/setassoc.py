@@ -1,61 +1,42 @@
-"""Set-associative cache with pluggable replacement and indexing.
+"""The translation cache: set-associative, with SID partitions.
 
-This is the workhorse structure behind the DevTLB, IOTLB and the L2/L3
-page-walk caches.  The set index is derived from the key by an ``indexer``
-callable so the same class supports both conventional address-indexed caches
-and the paper's SID-partitioned variants (see
-:mod:`repro.cache.partitioned`).
+Every translation structure in the model (DevTLB, IOTLB, nested TLB, PTE
+cache, Prefetch Buffer and context cache) is one
+:class:`SetAssociativeCache`, and one rule,
+:meth:`SetAssociativeCache.set_index`, places every key.
+
+HyperTRIO adds a partition tag (PTag) to every row of the DevTLB and the
+page-walk TLBs; a translation may only occupy a row whose PTag matches the
+low bits of its Source ID.  With ``P`` partitions, tenant ``sid`` is
+confined to partition ``sid mod P``: ``num_sets / P`` consecutive sets, so
+a low-bandwidth tenant can never evict a high-bandwidth tenant in another
+partition.  Within its partition a key's set comes from the folded address
+bits of the rest of the key.  An unpartitioned cache is one partition, in
+which tenants using identical gIOVA layouts compete for the same sets (the
+conflict behaviour the paper studies), and a fully associative structure
+such as the Prefetch Buffer is one set.  When a partition holds exactly
+one row (the paper's P-DevTLB: 64 entries, 8-way, 8 partitions; likewise
+the L2/L3 TLBs' 32 and 64 partitions), the row is shared by every tenant
+mapped onto that PTag and the set is just ``sid mod P``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, List, NoReturn, Optional
+from typing import Any, Callable, Hashable, List, Optional, Tuple
 
-from repro.cache.base import TranslationCache
+from repro.cache.base import CacheStats
 from repro.cache.policies import ReplacementPolicy, make_policy_factory
 
 
-def fold_index(value: int) -> int:
-    """XOR-fold an address-derived integer before set selection.
+class SetAssociativeCache:
+    """A ``num_sets`` x ``ways`` cache split into ``num_partitions`` PTag
+    groups of sets.
 
-    Plain modulo indexing degenerates for 2 MB-aligned page numbers (their
-    low bits are all zero, mapping every huge page to set 0), so — like real
-    TLBs — we fold higher address bits into the index.  The fold is
-    deterministic and cheap.
-    """
-    value = int(value)
-    return value ^ (value >> 9) ^ (value >> 18)
-
-
-def default_indexer(key: Hashable, num_sets: int) -> int:
-    """Index by the folded address bits of the key.
-
-    For the common ``(sid, page)`` tuple keys this indexes by the *page*
-    part only, so that — as in real hardware — tenants using identical
-    gIOVA layouts compete for the same sets: the conflict behaviour the
-    paper studies.  The SID lives in the tag, not the index.
-
-    The fold is inlined (rather than calling :func:`fold_index`) because
-    this function sits on the simulator's hottest path.
-    """
-    if type(key) is tuple and len(key) == 2:
-        value = key[1]
-        if type(value) is int:
-            return (value ^ (value >> 9) ^ (value >> 18)) % num_sets
-    return hash(key) % num_sets
-
-
-def single_set_indexer(key: Hashable, num_sets: int) -> int:
-    """Indexer for fully associative caches: everything lives in set 0.
-
-    A module-level function (not a lambda) so cache instances stay
-    picklable — simulation checkpoints snapshot live cache objects.
-    """
-    return 0
-
-
-class SetAssociativeCache(TranslationCache):
-    """An ``num_sets`` x ``ways`` cache.
+    Keys are ``(sid, secondary)`` pairs of ints; ``secondary`` is the
+    gIOVA page (DevTLB, IOTLB, Prefetch Buffer), a guest-physical page
+    (nested TLB), an entry address (PTE cache) or 0 (context cache).
+    ``lookup`` returns the stored value or ``None``, updating statistics
+    and replacement state; ``probe`` inspects without side effects.
 
     Each set is one :class:`~repro.cache.policies.ReplacementPolicy`
     object holding the set's entries, replacement state and pins; the
@@ -68,49 +49,64 @@ class SetAssociativeCache(TranslationCache):
         Total capacity; must be divisible by ``ways``.
     ways:
         Associativity.  ``ways == num_entries`` makes it fully associative.
+    num_partitions:
+        Number of PTag groups; must divide the set count evenly.  1 is an
+        unpartitioned cache.
     policy:
         Replacement policy name (``lru``, ``lfu``, ``fifo``, ``random``,
         ``oracle``); every set is one instance of it.
-    indexer:
-        ``callable(key, num_sets) -> set_index``.
     next_use:
         Future-knowledge callable, required when ``policy == "oracle"``.
     """
 
-    #: Nonzero when the set index is the key's SID modulo this many sets:
-    #: a :class:`~repro.cache.partitioned.PartitionedCache` whose every
-    #: partition is one set.  ``lookup`` and ``insert`` then compute the
-    #: index inline instead of calling the indexer.
-    _sid_sets = 0
-
-    _state_fields = TranslationCache._state_fields + (
-        "num_entries", "ways", "num_sets", "policy_name", "_indexer", "_sets",
+    #: Instance attributes a checkpoint pickles (see
+    #: :func:`repro.sim.checkpoint.state_fields`).
+    _state_fields = (
+        "name", "stats", "eviction_listener", "num_entries", "ways",
+        "num_sets", "num_partitions", "sets_per_partition", "policy_name",
+        "_sets",
     )
 
     def __init__(
         self,
         num_entries: int,
         ways: int,
+        num_partitions: int = 1,
         policy: str = "lru",
         name: str = "cache",
-        indexer: Callable[[Hashable, int], int] = default_indexer,
         next_use: Optional[Callable[[Hashable], Optional[float]]] = None,
     ):
-        super().__init__(name=name)
         if num_entries < 1 or ways < 1:
             raise ValueError("num_entries and ways must be positive")
         if num_entries % ways != 0:
             raise ValueError(
                 f"num_entries ({num_entries}) must be divisible by ways ({ways})"
             )
+        num_sets = num_entries // ways
+        if num_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
+        if num_sets % num_partitions != 0:
+            raise ValueError(
+                f"{num_partitions} partitions do not evenly divide "
+                f"{num_sets} sets"
+            )
+        self.name = name
+        self.stats = CacheStats()
+        #: Optional observability hook ``callable(inserted_key, victim_key)``
+        #: invoked on every capacity eviction (not on invalidations).  Left
+        #: ``None`` unless an observer attaches one, so the only cost on the
+        #: eviction path is a single ``is not None`` check — see
+        #: :meth:`repro.obs.metrics.EvictionAttribution.listener_for`.
+        self.eviction_listener = None
         self.num_entries = num_entries
         self.ways = ways
-        self.num_sets = num_entries // ways
+        self.num_sets = num_sets
+        self.num_partitions = num_partitions
+        self.sets_per_partition = num_sets // num_partitions
         self.policy_name = policy.lower()
-        self._indexer = indexer
         factory = make_policy_factory(policy, next_use)
         self._sets: List[ReplacementPolicy] = [
-            factory(ways) for _ in range(self.num_sets)
+            factory(ways) for _ in range(num_sets)
         ]
 
     @property
@@ -120,44 +116,41 @@ class SetAssociativeCache(TranslationCache):
         return self._sets[0].pin_capacity
 
     # ------------------------------------------------------------------
-    def set_for(self, key: Hashable) -> ReplacementPolicy:
-        """The set ``key`` maps to, by the indexer."""
-        index = self._indexer(key, self.num_sets)
-        if not 0 <= index < self.num_sets:
-            self._out_of_range(index)
-        return self._sets[index]
+    def set_index(self, key: Tuple[int, int]) -> int:
+        """The set ``key`` maps to: the first set of partition
+        ``sid % num_partitions`` plus ``fold(secondary) % sets_per_partition``.
 
-    def sid_set(self, sid: int) -> Optional[ReplacementPolicy]:
-        """The one set every ``(sid, ...)`` key maps to, or ``None`` when
-        the set also depends on the rest of the key."""
-        sid_sets = self._sid_sets
-        return self._sets[sid % sid_sets] if sid_sets else None
+        The fold, ``v ^ (v >> 9) ^ (v >> 18)``, XORs higher address bits
+        into the index, as real TLBs do: plain modulo would send every 2 MB-
+        aligned page number (low bits all zero) to the same set.  The SID
+        picks the partition and is otherwise in the tag, not the index.
 
-    def _out_of_range(self, index: int) -> NoReturn:
-        raise ValueError(
-            f"indexer returned {index}, outside 0..{self.num_sets - 1}"
-        )
+        ``lookup``, ``insert`` and :meth:`repro.iommu.iommu.Iommu.charge_walk`
+        run on every access and compute this inline.
+        """
+        try:
+            sid, secondary = key
+        except ValueError:
+            raise self._bad_key(key) from None
+        sets = self.sets_per_partition
+        return (sid % self.num_partitions) * sets + (
+            secondary ^ (secondary >> 9) ^ (secondary >> 18)
+        ) % sets
 
-    def _bad_key(self, key: Hashable) -> NoReturn:
-        raise TypeError(
-            f"{self.name}: partitioned caches require (sid, page) keys, "
-            f"got {key!r}"
-        )
+    def _bad_key(self, key: Hashable) -> TypeError:
+        return TypeError(f"{self.name}: keys are (sid, page) pairs, got {key!r}")
 
-    # ``lookup`` and ``insert`` run on every DevTLB and IOTLB access, so
-    # each computes its set index inline (the set ``set_for`` returns)
-    # rather than through a chain of calls.
-    def lookup(self, key: Hashable) -> Optional[Any]:
-        sid_sets = self._sid_sets
-        if sid_sets:
-            if not (isinstance(key, tuple) and len(key) == 2):
-                self._bad_key(key)
-            index = key[0] % sid_sets
-        else:
-            num_sets = self.num_sets
-            index = self._indexer(key, num_sets)
-            if not 0 <= index < num_sets:
-                self._out_of_range(index)
+    def lookup(self, key: Tuple[int, int]) -> Optional[Any]:
+        """Return the cached value for ``key`` or ``None``; updates stats."""
+        # set_index, inlined: this runs on every DevTLB and IOTLB access.
+        try:
+            sid, page = key
+        except ValueError:
+            raise self._bad_key(key) from None
+        sets = self.sets_per_partition
+        index = (sid % self.num_partitions) * sets + (
+            page ^ (page >> 9) ^ (page >> 18)
+        ) % sets
         value = self._sets[index].get(key)
         if value is None:
             self.stats.misses += 1
@@ -166,28 +159,28 @@ class SetAssociativeCache(TranslationCache):
         return value
 
     def insert(
-        self, key: Hashable, value: Any, priority: int = 0, pinned: bool = False
+        self, key: Tuple[int, int], value: Any, priority: int = 0, pinned: bool = False
     ) -> None:
-        """Insert or update ``key``.
+        """Insert or update ``key``; may evict another entry.
 
         ``priority`` > 0 promotes the entry's replacement state that many
-        extra steps.  ``pinned`` marks a prefetch fill that must survive
-        until its predicted use: pinned entries are excluded from victim
-        selection until first hit, with at most ``pin_capacity`` pins per
-        set (``ways - 2`` above 2 ways, 1 at 2 ways, none at 1 way; the
-        oldest pin is released when the budget is exceeded).
+        extra steps (a prefetch fill).  ``pinned`` marks a prefetch fill
+        that must survive until its predicted use: pinned entries are
+        excluded from victim selection until first hit, with at most
+        ``pin_capacity`` pins per set (``ways - 2`` above 2 ways, 1 at 2
+        ways, none at 1 way; the oldest pin is released when the budget is
+        exceeded).
         """
-        sid_sets = self._sid_sets
-        if sid_sets:
-            if not (isinstance(key, tuple) and len(key) == 2):
-                self._bad_key(key)
-            index = key[0] % sid_sets
-        else:
-            num_sets = self.num_sets
-            index = self._indexer(key, num_sets)
-            if not 0 <= index < num_sets:
-                self._out_of_range(index)
-        entry_set = self._sets[index]
+        # set_index, inlined: this runs on every DevTLB and IOTLB fill.
+        try:
+            sid, page = key
+        except ValueError:
+            raise self._bad_key(key) from None
+        sets = self.sets_per_partition
+        entry_set = self._sets[
+            (sid % self.num_partitions) * sets
+            + (page ^ (page >> 9) ^ (page >> 18)) % sets
+        ]
         if key in entry_set.entries:
             entry_set.put(key, value, priority, pinned)
             return
@@ -198,16 +191,23 @@ class SetAssociativeCache(TranslationCache):
                 self.eviction_listener(key, victim)
         self.stats.fills += 1
 
-    def probe(self, key: Hashable) -> Optional[Any]:
-        return self.set_for(key).entries.get(key)
+    def probe(self, key: Tuple[int, int]) -> Optional[Any]:
+        """Return the cached value without touching stats or recency."""
+        return self._sets[self.set_index(key)].entries.get(key)
 
-    def invalidate(self, key: Hashable) -> bool:
-        if not self.set_for(key).remove(key):
+    def contains(self, key: Tuple[int, int]) -> bool:
+        """Return whether ``key`` is cached (no stats side effects)."""
+        return self.probe(key) is not None
+
+    def invalidate(self, key: Tuple[int, int]) -> bool:
+        """Drop ``key`` if present; return whether it was present."""
+        if not self._sets[self.set_index(key)].remove(key):
             return False
         self.stats.invalidations += 1
         return True
 
     def invalidate_all(self) -> None:
+        """Drop every entry (e.g. on an IOTLB flush)."""
         for entry_set in self._sets:
             entry_set.clear()
         self.stats.invalidations += 1
@@ -220,31 +220,17 @@ class SetAssociativeCache(TranslationCache):
         """Number of valid entries in set ``index`` (for tests/analysis)."""
         return len(self._sets[index].entries)
 
+    def partition_occupancy(self, partition: int) -> int:
+        """Total valid entries across the sets of ``partition``."""
+        if not 0 <= partition < self.num_partitions:
+            raise ValueError(f"partition {partition} out of range")
+        base = partition * self.sets_per_partition
+        return sum(
+            self.set_occupancy(base + offset)
+            for offset in range(self.sets_per_partition)
+        )
+
     def keys(self):
         """Iterate over all cached keys (unspecified order)."""
         for entry_set in self._sets:
             yield from entry_set.entries
-
-
-class FullyAssociativeCache(SetAssociativeCache):
-    """Convenience subclass: one set holding every entry.
-
-    Used for the paper's fully-associative DevTLB study (Figure 11c) and for
-    the 8-entry Prefetch Buffer.
-    """
-
-    def __init__(
-        self,
-        num_entries: int,
-        policy: str = "lru",
-        name: str = "fa-cache",
-        next_use: Optional[Callable[[Hashable], Optional[float]]] = None,
-    ):
-        super().__init__(
-            num_entries=num_entries,
-            ways=num_entries,
-            policy=policy,
-            name=name,
-            indexer=single_set_indexer,
-            next_use=next_use,
-        )

@@ -78,6 +78,14 @@ class TlbConfig:
     def __post_init__(self):
         if self.num_entries < 1:
             raise ValueError("num_entries must be positive")
+        if self.num_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
+        if self.fully_associative and self.num_partitions != 1:
+            # A fully associative cache is one set, which cannot be split.
+            raise ValueError(
+                f"fully_associative=True needs num_partitions=1, got "
+                f"num_partitions={self.num_partitions}"
+            )
         if not self.fully_associative:
             if self.num_entries % self.ways != 0:
                 raise ValueError("num_entries must be divisible by ways")

@@ -27,9 +27,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Hashable, List, Optional
 
-from repro.cache.base import TranslationCache
-from repro.cache.partitioned import PartitionedCache
-from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.config import ArchConfig, TlbConfig
 from repro.core.prefetch import IovaHistory, PrefetchUnit
 from repro.core.ptb import PendingTranslationBuffer
@@ -43,7 +41,7 @@ class DevicePath:
     """The device-side hardware of one fabric endpoint."""
 
     device_id: int
-    devtlb: TranslationCache
+    devtlb: SetAssociativeCache
     ptb: PendingTranslationBuffer
     prefetch_unit: Optional[PrefetchUnit]
 
@@ -78,35 +76,17 @@ def _build_tlb(
     tlb_config: TlbConfig,
     name: str,
     next_use: Optional[Callable[[Hashable], Optional[float]]] = None,
-) -> TranslationCache:
-    """Instantiate one cache from a :class:`TlbConfig`.
-
-    A plain set-associative cache, a partitioned one (HyperTRIO's
-    DevTLB, Section III) or the fully associative structure of Figure
-    11c.
-    """
-    if tlb_config.fully_associative:
-        return FullyAssociativeCache(
-            num_entries=tlb_config.num_entries,
-            policy=tlb_config.policy,
-            name=name,
-            next_use=next_use,
-        )
-    if tlb_config.num_partitions > 1:
-        return PartitionedCache(
-            num_entries=tlb_config.num_entries,
-            ways=tlb_config.ways,
-            num_partitions=tlb_config.num_partitions,
-            policy=tlb_config.policy,
-            name=name,
-            next_use=next_use,
-        )
+) -> SetAssociativeCache:
+    """Instantiate one cache from a :class:`TlbConfig`: a plain
+    set-associative cache, a partitioned one (HyperTRIO's DevTLB, Section
+    III) or the fully associative structure of Figure 11c (one set)."""
     return SetAssociativeCache(
-        num_entries=tlb_config.num_entries,
-        ways=tlb_config.ways,
-        policy=tlb_config.policy,
-        name=name,
-        next_use=next_use,
+        tlb_config.num_entries,
+        tlb_config.num_entries if tlb_config.fully_associative else tlb_config.ways,
+        tlb_config.num_partitions,
+        tlb_config.policy,
+        name,
+        next_use,
     )
 
 

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.cache.setassoc import FullyAssociativeCache
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.config import PrefetchConfig
 
 
@@ -145,8 +145,10 @@ class PrefetchUnit:
 
     def __init__(self, config: PrefetchConfig):
         self.config = config
-        self.buffer = FullyAssociativeCache(
-            num_entries=config.buffer_entries, policy="lru", name="prefetch-buffer"
+        # Fully associative: one set of ``buffer_entries`` ways.
+        self.buffer = SetAssociativeCache(
+            config.buffer_entries, config.buffer_entries, policy="lru",
+            name="prefetch-buffer",
         )
         self.predictor = SidPredictor(config.history_length)
         self.stats = PrefetchStats()

@@ -73,15 +73,6 @@ class ContextResolution(NamedTuple):
     hit: bool
 
 
-def _sid_indexer(key: int, num_sets: int) -> int:
-    """SIDs are dense small integers, so plain modulo spreads them evenly.
-
-    Module-level (not a lambda) so the cache stays picklable for
-    simulation checkpoints.
-    """
-    return key % num_sets
-
-
 class ContextCache:
     """Cache of SID -> :class:`ContextEntry` lookups.
 
@@ -95,9 +86,11 @@ class ContextCache:
 
     def __init__(self, num_entries: int = 64, ways: int = 4, policy: str = "lru"):
         self._table: Dict[int, ContextEntry] = {}
+        # SIDs are dense small integers, so plain modulo spreads them
+        # evenly: one-set partitions keyed ``(sid, 0)`` put SID ``sid`` in
+        # set ``sid % num_sets``.
         self._cache = SetAssociativeCache(
-            num_entries=num_entries, ways=ways, policy=policy, name="context-cache",
-            indexer=_sid_indexer,
+            num_entries, ways, num_entries // ways, policy, "context-cache"
         )
 
     def register(self, sid: int, entry: ContextEntry) -> None:
@@ -106,13 +99,14 @@ class ContextCache:
 
     def resolve(self, sid: int) -> ContextResolution:
         """Look up ``sid``; a miss reads the context table from memory."""
-        cached = self._cache.lookup(sid)
+        key = (sid, 0)
+        cached = self._cache.lookup(key)
         if cached is not None:
             return ContextResolution(cached, True)
         entry = self._table.get(sid)
         if entry is None:
             raise KeyError(f"SID {sid:#x} has no registered context entry")
-        self._cache.insert(sid, entry)
+        self._cache.insert(key, entry)
         return ContextResolution(entry, False)
 
     @property

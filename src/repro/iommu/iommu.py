@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from repro.cache.base import TranslationCache
-from repro.cache.partitioned import PartitionedCache
 from repro.cache.policies import HIT
 from repro.cache.setassoc import SetAssociativeCache
 from repro.iommu.context import ContextCache
@@ -84,9 +82,8 @@ class Iommu:
     nested_tlb:
         Nested-translation cache keyed by ``(sid, gpa_page)``.
     pte_cache:
-        Page-table-entry cache keyed by ``(sid, entry_hpa)``.  The two walk
-        caches are set-associative: :meth:`charge_walk` works on their
-        sets directly.
+        Page-table-entry cache keyed by ``(sid, entry_hpa)``.
+        :meth:`charge_walk` works on the two walk caches' sets directly.
     walker_for_sid:
         Callable returning the :class:`TwoDimensionalWalker` of a tenant.
     memory:
@@ -101,7 +98,7 @@ class Iommu:
 
     def __init__(
         self,
-        iotlb: TranslationCache,
+        iotlb: SetAssociativeCache,
         nested_tlb: SetAssociativeCache,
         pte_cache: SetAssociativeCache,
         walker_for_sid: Callable[[int], TwoDimensionalWalker],
@@ -168,17 +165,27 @@ class Iommu:
         One pass over the phases makes one ``access`` call per access,
         straight on the set.  Filling the nested TLB before the host walk
         changes no result (the two caches share no set), and its eviction
-        is reported after the host walk's.  A cache whose partitions are
-        one set each (every HyperTRIO walk cache) gives the walk's SID one
-        set, fetched once; any other cache picks the set per access through
-        its indexer.  The walk's hit, miss, fill and eviction counts and its
-        DRAM reads are added to the caches' and the memory's statistics
-        once, at the end.
+        is reported after the host walk's.  Each access's set is
+        :meth:`~repro.cache.setassoc.SetAssociativeCache.set_index` of its
+        key, computed inline: the SID's partition base once per walk and
+        cache, plus the folded address per access.  In a cache whose
+        partitions are one set each (every HyperTRIO walk cache) the
+        folded term is 0, so the walk fetches that set once; folding every
+        access's entry address anyway made HyperTRIO's walk charge about a
+        quarter slower.  The walk's hit, miss, fill and eviction counts and
+        its DRAM reads are added to the caches' and the memory's
+        statistics once, at the end.
         """
         nested = self.nested_tlb
         pte = self.pte_cache
-        nested_sid_set = nested.sid_set(sid)
-        pte_sid_set = pte.sid_set(sid)
+        nested_sets = nested._sets
+        nested_width = nested.sets_per_partition
+        nested_base = (sid % nested.num_partitions) * nested_width
+        nested_row = nested_sets[nested_base] if nested_width == 1 else None
+        pte_sets = pte._sets
+        pte_width = pte.sets_per_partition
+        pte_base = (sid % pte.num_partitions) * pte_width
+        pte_row = pte_sets[pte_base] if pte_width == 1 else None
         nested_listener = nested.eviction_listener
         pte_listener = pte.eviction_listener
         hit_ns = self.timings.cache_hit_ns
@@ -191,12 +198,14 @@ class Iommu:
         nested_misses = 0
         nested_evictions = 0
         for phase in walk.phases:
-            nested_key = (sid, phase.gpa_page)
-            nested_set = (
-                nested_sid_set if nested_sid_set is not None
-                else nested.set_for(nested_key)
-            )
-            nested_victim = nested_set.access(nested_key, True)
+            gpa_page = phase.gpa_page
+            nested_key = (sid, gpa_page)
+            nested_victim = (
+                nested_row if nested_row is not None else nested_sets[
+                    nested_base
+                    + (gpa_page ^ (gpa_page >> 9) ^ (gpa_page >> 18)) % nested_width
+                ]
+            ).access(nested_key, True)
             if nested_victim is HIT:
                 nested_hits += 1
                 latency += hit_ns
@@ -206,11 +215,12 @@ class Iommu:
                 # first tries the PTE cache.
                 for address in phase.host_steps:
                     pte_key = (sid, address)
-                    pte_set = (
-                        pte_sid_set if pte_sid_set is not None
-                        else pte.set_for(pte_key)
-                    )
-                    victim = pte_set.access(pte_key, True)
+                    victim = (
+                        pte_row if pte_row is not None else pte_sets[
+                            pte_base
+                            + (address ^ (address >> 9) ^ (address >> 18)) % pte_width
+                        ]
+                    ).access(pte_key, True)
                     if victim is HIT:
                         pte_hits += 1
                         latency += hit_ns
@@ -230,11 +240,13 @@ class Iommu:
                 # Reading the guest page-table entry itself (also cacheable:
                 # a tenant's upper guest entries repeat across packets).
                 guest_key = (sid, guest_entry_hpa)
-                pte_set = (
-                    pte_sid_set if pte_sid_set is not None
-                    else pte.set_for(guest_key)
-                )
-                victim = pte_set.access(guest_key, True)
+                victim = (
+                    pte_row if pte_row is not None else pte_sets[
+                        pte_base
+                        + (guest_entry_hpa ^ (guest_entry_hpa >> 9)
+                           ^ (guest_entry_hpa >> 18)) % pte_width
+                    ]
+                ).access(guest_key, True)
                 if victim is HIT:
                     pte_hits += 1
                     latency += hit_ns
@@ -266,15 +278,9 @@ class Iommu:
     def invalidate_tenant(self, sid: int) -> None:
         """Flush all cached state for ``sid`` (unmap/teardown path)."""
         for cache in (self.iotlb, self.nested_tlb, self.pte_cache):
-            stale = [key for key in _iter_keys(cache) if key[0] == sid]
+            stale = [key for key in cache.keys() if key[0] == sid]
             for key in stale:
                 cache.invalidate(key)
         for listener in self._invalidation_listeners:
             listener(sid)
 
-
-def _iter_keys(cache: TranslationCache):
-    """Best-effort key iteration for the cache types used here."""
-    if isinstance(cache, (SetAssociativeCache, PartitionedCache)):
-        return list(cache.keys())
-    raise TypeError(f"cannot iterate keys of {type(cache).__name__}")

@@ -79,7 +79,7 @@ from repro.trace.constructor import HyperTrace
 from repro.trace.records import compute_trace_stats
 
 CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: Why each earlier format version cannot be read, quoted in the refusal.
 _OLD_VERSIONS = {
@@ -90,6 +90,8 @@ _OLD_VERSIONS = {
     4: "its stream pickles each cache's sets as three parallel lists of "
        "entries, policies and pins, not one object per set",
     5: "its LFU sets carry no index of their count-0/1 keys",
+    6: "its caches pickle a set-index function, not a partition geometry, "
+       "and its context cache is keyed by bare SIDs",
 }
 
 PathLike = Union[str, os.PathLike]

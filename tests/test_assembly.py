@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.cache.partitioned import PartitionedCache
-from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
 from repro.core.config import TlbConfig, base_config, hypertrio_config
 from repro.core.fabric import Fabric
 from repro.core.results import SimulationResult
@@ -27,8 +25,8 @@ class TestFabricStructure:
     def test_base_path_structure(self):
         fabric = Fabric(base_config(), _walker_for, sids=(0, 1))
         device = fabric.devices[0]
-        assert isinstance(device.devtlb, SetAssociativeCache)
-        assert not isinstance(device.devtlb, PartitionedCache)
+        assert device.devtlb.num_sets == 8
+        assert device.devtlb.num_partitions == 1
         assert device.ptb.num_entries == 1
         assert device.prefetch_unit is None
         assert fabric.chipset.iova_history is None
@@ -36,19 +34,20 @@ class TestFabricStructure:
     def test_hypertrio_path_structure(self):
         fabric = Fabric(hypertrio_config(), _walker_for, sids=(0,))
         device = fabric.devices[0]
-        assert isinstance(device.devtlb, PartitionedCache)
         assert device.devtlb.num_partitions == 8
+        assert device.devtlb.sets_per_partition == 1
         assert device.ptb.num_entries == 32
         assert device.prefetch_unit is not None
         assert fabric.chipset.iova_history is not None
-        assert isinstance(device.prefetch_unit.buffer, FullyAssociativeCache)
+        assert device.prefetch_unit.buffer.num_sets == 1
+        assert device.prefetch_unit.buffer.ways == 8
 
     def test_chipset_structures_geometry(self):
         iommu = Fabric(hypertrio_config(), _walker_for).chipset.iommu
-        assert isinstance(iommu.nested_tlb, PartitionedCache)
         assert iommu.nested_tlb.num_partitions == 64
-        assert isinstance(iommu.pte_cache, PartitionedCache)
+        assert iommu.nested_tlb.sets_per_partition == 1
         assert iommu.pte_cache.num_partitions == 32
+        assert iommu.pte_cache.sets_per_partition == 1
 
     def test_context_cache_preregistered(self):
         chipset = Fabric(base_config(), _walker_for, sids=(3, 7)).chipset

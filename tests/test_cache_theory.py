@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.reuse import reuse_distances
-from repro.cache.setassoc import FullyAssociativeCache
+from repro.cache.setassoc import SetAssociativeCache
 from repro.sim.oracle import FutureOracle
 
 key_streams = st.lists(st.integers(min_value=0, max_value=12),
@@ -23,10 +23,15 @@ key_streams = st.lists(st.integers(min_value=0, max_value=12),
 capacities = st.integers(min_value=1, max_value=8)
 
 
+def _pairs(keys):
+    """The stream as cache keys: one tenant's pages."""
+    return [(0, key) for key in keys]
+
+
 def _run_lru(keys, capacity):
-    cache = FullyAssociativeCache(num_entries=capacity, policy="lru")
+    cache = SetAssociativeCache(capacity, capacity, policy="lru")
     hits = []
-    for key in keys:
+    for key in _pairs(keys):
         hit = cache.lookup(key) is not None
         hits.append(hit)
         if not hit:
@@ -35,9 +40,10 @@ def _run_lru(keys, capacity):
 
 
 def _run_oracle(keys, capacity):
+    keys = _pairs(keys)
     oracle = FutureOracle(keys)
-    cache = FullyAssociativeCache(
-        num_entries=capacity, policy="oracle", next_use=oracle.next_use
+    cache = SetAssociativeCache(
+        capacity, capacity, policy="oracle", next_use=oracle.next_use
     )
     hits = 0
     for key in keys:

@@ -312,13 +312,15 @@ class TestCheckpointValidation:
             ckpt.SimulationCheckpoint.load(path)
 
     def test_version_skew(self, tmp_path):
-        """A future version is refused, and so are version 5, whose LFU
-        sets carry no index of their count-0/1 keys, version 4, whose state
-        stream pickles a cache's sets as three parallel lists, version 3,
-        whose stream pickles objects through their ``__dict__``, and
-        version 2, whose stream pickles result and simulator classes this
-        build no longer has, before any unpickling could fail on them."""
-        for version in (ckpt.CHECKPOINT_VERSION + 1, 5, 4, 3, 2):
+        """A future version is refused, and so are version 6, whose caches
+        pickle a set-index function instead of a partition geometry,
+        version 5, whose LFU sets carry no index of their count-0/1 keys,
+        version 4, whose state stream pickles a cache's sets as three
+        parallel lists, version 3, whose stream pickles objects through
+        their ``__dict__``, and version 2, whose stream pickles result and
+        simulator classes this build no longer has, before any unpickling
+        could fail on them."""
+        for version in (ckpt.CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2):
             path = tmp_path / f"v{version}.ckpt"
             payload = {"version": version, "engine": "analytic",
                        "packets_done": 0, "config": {}, "state": {}}
@@ -327,7 +329,7 @@ class TestCheckpointValidation:
                 pickle.dump(payload, handle)
             with pytest.raises(
                 ckpt.CheckpointError,
-                match=f"format version {version}; this build reads version 6",
+                match=f"format version {version}; this build reads version 7",
             ):
                 ckpt.SimulationCheckpoint.load(path)
 
@@ -360,6 +362,16 @@ class TestCheckpointValidation:
             handle.write(ckpt.CHECKPOINT_MAGIC)
             pickle.dump(payload, handle)
         with pytest.raises(ckpt.CheckpointError, match="index of their count-0/1"):
+            ckpt.SimulationCheckpoint.load(path)
+
+    def test_version_6_refusal_names_the_partition_geometry(self, tmp_path):
+        path = tmp_path / "v6.ckpt"
+        payload = {"version": 6, "engine": "analytic", "packets_done": 0,
+                   "config": {}, "state": {}}
+        with open(path, "wb") as handle:
+            handle.write(ckpt.CHECKPOINT_MAGIC)
+            pickle.dump(payload, handle)
+        with pytest.raises(ckpt.CheckpointError, match="not a partition geometry"):
             ckpt.SimulationCheckpoint.load(path)
 
     def test_engine_mismatch(self, tmp_path):
@@ -433,7 +445,7 @@ class TestSnapshotFormat:
             checkpoint_every=150, checkpoint_path=path,
         )
         header, state = read_parts(path)
-        assert header["version"] == 6 and header["inputs"]["packets"] is None
+        assert header["version"] == 7 and header["inputs"]["packets"] is None
         trace = header["inputs"]["recipe"].build()
         roots = _InputRefusingUnpickler(io.BytesIO(state), trace).load()
         assert sorted(roots) == ["loop", "router", "sim"]

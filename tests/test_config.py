@@ -56,6 +56,20 @@ class TestTlbConfig:
         config = TlbConfig(num_entries=36, ways=1, fully_associative=True)
         assert config.fully_associative
 
+    def test_fully_associative_with_partitions_rejected(self):
+        """A fully associative cache is one set: partitioning it used to
+        build one unpartitioned set without a word."""
+        with pytest.raises(ValueError, match="fully_associative.*num_partitions"):
+            TlbConfig(
+                num_entries=64, ways=8, num_partitions=8, fully_associative=True
+            )
+
+    def test_partition_count_below_one_rejected(self):
+        # 0 used to raise ZeroDivisionError from the divisibility check.
+        for partitions in (0, -1):
+            with pytest.raises(ValueError, match="num_partitions"):
+                TlbConfig(num_entries=64, ways=8, num_partitions=partitions)
+
 
 class TestBaseConfig:
     def test_table4_base_column(self):

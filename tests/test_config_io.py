@@ -63,6 +63,21 @@ class TestStrictParsing:
         with pytest.raises(ConfigFormatError):
             config_from_dict(raw)
 
+    def test_partitioned_fully_associative_tlb_rejected(self):
+        raw = config_to_dict(base_config())
+        raw["devtlb"]["num_partitions"] = 8
+        raw["devtlb"]["fully_associative"] = True
+        with pytest.raises(
+            ConfigFormatError, match="devtlb: fully_associative.*num_partitions"
+        ):
+            config_from_dict(raw)
+
+    def test_zero_partitions_rejected(self):
+        raw = config_to_dict(base_config())
+        raw["l2_tlb"]["num_partitions"] = 0
+        with pytest.raises(ConfigFormatError, match="l2_tlb: num_partitions"):
+            config_from_dict(raw)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigFormatError):
             config_from_json("not json {")

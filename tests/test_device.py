@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cache.partitioned import PartitionedCache
-from repro.cache.setassoc import FullyAssociativeCache, SetAssociativeCache
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.config import TlbConfig
 from repro.core.fabric import _build_tlb
 from repro.device.packet import PacketStats
@@ -106,22 +105,23 @@ class TestBuildDevtlb:
         devtlb = _build_tlb(TlbConfig(num_entries=64, ways=8, policy="lfu"), "devtlb")
         assert isinstance(devtlb, SetAssociativeCache)
         assert devtlb.num_sets == 8
+        assert devtlb.num_partitions == 1
         assert devtlb.policy_name == "lfu"
 
     def test_partitioned_variant(self):
         devtlb = _build_tlb(
             TlbConfig(num_entries=64, ways=8, num_partitions=8), "devtlb"
         )
-        assert isinstance(devtlb, PartitionedCache)
         assert devtlb.num_partitions == 8
+        assert devtlb.sets_per_partition == 1
 
     def test_fully_associative_variant(self):
         devtlb = _build_tlb(
             TlbConfig(num_entries=64, ways=8, fully_associative=True, policy="lru"),
             "devtlb",
         )
-        assert isinstance(devtlb, FullyAssociativeCache)
         assert devtlb.num_sets == 1
+        assert devtlb.ways == 64
 
     def test_oracle_needs_next_use(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from repro.cache.partitioned import PartitionedCache
 from repro.cache.setassoc import SetAssociativeCache
 from repro.iommu.context import ContextCache, ContextEntry, SourceId
 from repro.iommu.iommu import Iommu, IommuTimings
@@ -220,20 +219,25 @@ def oracle_next_use(key):
     return None if distance == 0 else float(distance)
 
 
-#: How each layout builds a small walk cache with ``policy``.
+#: Each layout's walk-cache entries and partitions, at 4 ways.
 WALK_CACHE_LAYOUTS = {
-    "one-set partitions": lambda policy, name: PartitionedCache(
-        16, 4, num_partitions=4, policy=policy, name=name,
-        next_use=oracle_next_use,
-    ),
-    "multi-set partitions": lambda policy, name: PartitionedCache(
-        32, 4, num_partitions=2, policy=policy, name=name,
-        next_use=oracle_next_use,
-    ),
-    "address indexing": lambda policy, name: SetAssociativeCache(
-        16, 4, policy=policy, name=name, next_use=oracle_next_use,
-    ),
+    "one-set partitions": (16, 4),
+    "multi-set partitions": (32, 2),
+    "address indexing": (16, 1),
 }
+
+
+def walk_cache(layout, policy, name):
+    num_entries, num_partitions = WALK_CACHE_LAYOUTS[layout]
+    return SetAssociativeCache(
+        num_entries, 4, num_partitions, policy, name, next_use=oracle_next_use
+    )
+
+
+#: Pool strides with bits at 0-8, 9-17 and 18 up, so that every term of
+#: the set-index fold, ``v ^ (v >> 9) ^ (v >> 18)``, moves keys between sets.
+PAGE_STRIDE = 0x4_0201
+ENTRY_STRIDE = 0x4_0208
 
 
 def random_walk(rng):
@@ -241,12 +245,14 @@ def random_walk(rng):
     evict."""
     phases = []
     for level in range(rng.randint(2, 5), -1, -1):
-        steps = tuple(rng.randrange(48) * 8 for _ in range(rng.randint(1, 4)))
+        steps = tuple(
+            rng.randrange(48) * ENTRY_STRIDE for _ in range(rng.randint(1, 4))
+        )
         phases.append(NestedWalkPhase(
             guest_level=level,
-            gpa_page=rng.randrange(24) << 12,
+            gpa_page=rng.randrange(24) * PAGE_STRIDE,
             host_steps=steps,
-            guest_entry_hpa=rng.randrange(48) * 8 if level else None,
+            guest_entry_hpa=rng.randrange(48) * ENTRY_STRIDE if level else None,
         ))
     return TwoDimensionalWalk(giova=0, hpa=0, page_shift=12, phases=tuple(phases))
 
@@ -256,8 +262,8 @@ def walk_iommu(layout, policy, evictions):
     eviction into ``evictions``."""
     iommu = Iommu(
         iotlb=SetAssociativeCache(16, 4, name="iotlb"),
-        nested_tlb=WALK_CACHE_LAYOUTS[layout](policy, "nested"),
-        pte_cache=WALK_CACHE_LAYOUTS[layout](policy, "pte"),
+        nested_tlb=walk_cache(layout, policy, "nested"),
+        pte_cache=walk_cache(layout, policy, "pte"),
         walker_for_sid=None,
         memory=MainMemory(latency_ns=49.7),
         timings=IommuTimings(iotlb_hit_ns=2.0, cache_hit_ns=2.3),
@@ -304,10 +310,10 @@ class TestChargeWalk:
         ``victim``: the index names each victim."""
         iommu = Iommu(
             iotlb=SetAssociativeCache(16, 4, name="iotlb"),
-            nested_tlb=PartitionedCache(
+            nested_tlb=SetAssociativeCache(
                 16, 4, num_partitions=4, policy="lfu", name="nested"
             ),
-            pte_cache=PartitionedCache(
+            pte_cache=SetAssociativeCache(
                 32, 8, num_partitions=4, policy="lfu", name="pte"
             ),
             walker_for_sid=None,

@@ -1,33 +1,35 @@
-"""Unit tests for the SID-partitioned cache (P-DevTLB scheme)."""
+"""Unit tests for SID partitions (the paper's P-DevTLB scheme)."""
 
 import pytest
 
-from repro.cache.partitioned import PartitionedCache, partition_of
+from repro.cache.setassoc import SetAssociativeCache
 
 
 @pytest.fixture
 def cache():
     # The paper's P-DevTLB: 64 entries, 8-way, 8 partitions (one row each).
-    return PartitionedCache(num_entries=64, ways=8, num_partitions=8, policy="lfu")
+    return SetAssociativeCache(num_entries=64, ways=8, num_partitions=8, policy="lfu")
 
 
 class TestPartitionSelection:
-    def test_partition_of_uses_low_sid_bits(self):
-        assert partition_of(0, 8) == 0
-        assert partition_of(9, 8) == 1
-        assert partition_of(17, 8) == 1
+    def test_partition_of_uses_low_sid_bits(self, cache):
+        # One set per partition, so a key's set is its partition.
+        for page in (0, 5, 0xBBE00):
+            assert cache.set_index((0, page)) == 0
+            assert cache.set_index((9, page)) == 1
+            assert cache.set_index((17, page)) == 1
 
     def test_partition_of_rejects_bad_count(self):
         with pytest.raises(ValueError):
-            partition_of(3, 0)
+            SetAssociativeCache(num_entries=64, ways=8, num_partitions=0)
 
     def test_partitions_must_divide_sets(self):
         with pytest.raises(ValueError):
-            PartitionedCache(num_entries=64, ways=8, num_partitions=3)
+            SetAssociativeCache(num_entries=64, ways=8, num_partitions=3)
 
     def test_keys_must_be_sid_page_tuples(self, cache):
-        # One set per partition: lookup and insert index by key[0] inline,
-        # which a 3-tuple or a 1-tuple would satisfy without the check.
+        # Every access unpacks the key into (sid, page) before it picks a
+        # set, so a string, a 3-tuple or a 1-tuple never reaches one.
         accesses = (
             cache.lookup, lambda key: cache.insert(key, 1), cache.probe, cache.invalidate,
         )
@@ -80,7 +82,7 @@ class TestCapacityPerPartition:
         assert cache.partition_occupancy(0) == 8  # one 8-way row
 
     def test_multi_set_partitions(self):
-        cache = PartitionedCache(num_entries=64, ways=4, num_partitions=4)
+        cache = SetAssociativeCache(num_entries=64, ways=4, num_partitions=4)
         # 16 sets, 4 per partition, 4 ways: capacity 16 per partition.
         for page in range(40):
             cache.insert((1, page), page)

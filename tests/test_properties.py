@@ -6,13 +6,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.partitioned import PartitionedCache, partition_of
 from repro.cache.policies import HIT, LfuPolicy, make_policy_factory
-from repro.cache.setassoc import (
-    FullyAssociativeCache,
-    SetAssociativeCache,
-    default_indexer,
-)
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.ptb import PendingTranslationBuffer
 from repro.mem.address import (
     PAGE_SHIFT_2M,
@@ -105,6 +100,17 @@ def fixed_next_use(key):
     other distances tie often, which exercises the tie-break."""
     sid, page = key
     return None if page == 5 else (sid + page) % 3
+
+
+def default_indexer(key, num_sets):
+    """Address indexing of an unpartitioned cache, kept apart from
+    :meth:`SetAssociativeCache.set_index` so the model checks placement
+    too."""
+    if type(key) is tuple and len(key) == 2:
+        value = key[1]
+        if type(value) is int:
+            return (value ^ (value >> 9) ^ (value >> 18)) % num_sets
+    return hash(key) % num_sets
 
 
 class ReferenceCache:
@@ -241,7 +247,7 @@ class TestCacheProperties:
     def test_lookup_after_insert_without_interference(self, operations, policy):
         """An inserted key is found unless something else was inserted into
         its set afterwards."""
-        cache = FullyAssociativeCache(num_entries=256, policy=policy)
+        cache = SetAssociativeCache(num_entries=256, ways=256, policy=policy)
         inserted = set()
         for operation, key in operations:
             if operation == "insert":
@@ -274,12 +280,14 @@ class TestCacheProperties:
     @settings(max_examples=60, deadline=None)
     def test_partition_isolation_invariant(self, keys):
         """No key is ever stored in a set outside its SID's partition."""
-        cache = PartitionedCache(num_entries=64, ways=8, num_partitions=8)
+        cache = SetAssociativeCache(num_entries=64, ways=8, num_partitions=8)
         for key in keys:
             cache.insert(key, key)
-            sid = key[0]
-            partition = partition_of(sid, 8)
+            partition = key[0] % 8
             # Every resident key of this partition's row belongs to it.
+            assert all(
+                sid % 8 == partition for sid, _ in cache._sets[partition].entries
+            )
             total = sum(
                 cache.partition_occupancy(p) for p in range(8)
             )
